@@ -5,7 +5,7 @@
 //! This is the ROADMAP's "hot-path allocation" scoreboard for the
 //! `ReplicaObject` boundary. The encoder-aware object trait writes replica
 //! replies and undo snapshots through the pooled `WireEncoder` instead of
-//! returning fresh `Vec<u8>`s, and the typed `Handle` encodes the operation
+//! returning fresh `Vec<u8>`s, and `Tx::invoke` encodes the operation
 //! into a pooled frame instead of a caller-side vector — so the steady-state
 //! budgets below are **asserted**, not just printed. CI fails if the object
 //! boundary regresses into allocating again.
@@ -20,13 +20,17 @@
 //! The multi-object transaction window measures a whole two-account
 //! transfer through the typed `Tx` surface — begin, two auto-activating
 //! invokes, and a commit driving one store 2PC over the union of both
-//! objects — with its own asserted budgets (measured: active 122.1,
-//! coordinator-cohort 100.1, single-copy 93.1 allocs per transaction;
-//! budgets 130/108/100) and the same exact-equality observer-off gate.
+//! objects — with its own asserted budgets and the same exact-equality
+//! observer-off gate. Since the `Tx` became the single owner of its
+//! activations (no per-client or per-handle copies of each bound group,
+//! no system-wide dirty set), a transfer measures active 97.0,
+//! coordinator-cohort 75.0, single-copy 68.0 allocs per transaction (was
+//! 122.1/100.1/93.1); the budgets keep the same headroom ratio over the
+//! new figures: 104/81/74 (were 130/108/100).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use groupview_replication::{
-    Account, AccountOp, Counter, CounterOp, Handle, ReplicationPolicy, System,
+    Account, AccountOp, Client, Counter, CounterOp, Handle, ReplicationPolicy, System, Tx,
 };
 use groupview_sim::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
@@ -64,25 +68,23 @@ fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
-/// Builds a 3-replica world and an activated typed handle, mid-action.
-fn activated(policy: ReplicationPolicy) -> (System, Handle<Counter>, groupview_actions::ActionId) {
+/// Builds a 3-replica world and a transaction with the counter bound.
+fn activated(policy: ReplicationPolicy) -> (System, Handle<Counter>, Tx) {
     let sys = System::builder(13).nodes(9).policy(policy).build();
     let servers: Vec<NodeId> = (1..=3).map(n).collect();
     let uid = sys
         .create_typed(Counter::new(0), &servers, &servers)
         .expect("create");
-    let client = sys.client(n(7));
-    let handle = uid.open(&client);
-    let action = client.begin_action();
-    handle.activate(action, 3).expect("activate");
-    (sys, handle, action)
+    let mut tx = sys.client(n(7)).begin().with_replicas(3);
+    tx.bind(&uid).expect("activate");
+    (sys, uid, tx)
 }
 
 /// One measured window: total heap allocations across `ops` invokes.
-fn measure_window(handle: &Handle<Counter>, action: groupview_actions::ActionId, ops: u64) -> u64 {
+fn measure_window(tx: &mut Tx, handle: &Handle<Counter>, ops: u64) -> u64 {
     let before = allocs();
     for _ in 0..ops {
-        black_box(handle.invoke(action, CounterOp::Add(1)).expect("invoke"));
+        black_box(tx.invoke(handle, CounterOp::Add(1)).expect("invoke"));
     }
     allocs() - before
 }
@@ -103,34 +105,32 @@ fn report_policy(policy: ReplicationPolicy, budget: f64) {
     const WARM: u64 = 64;
     // Warm up: fill the encoder pool, the dedup ring, and the undo stack's
     // growth so the measured window is steady state.
-    let warm = |handle: &Handle<Counter>, action| {
-        for _ in 0..WARM {
-            black_box(handle.invoke(action, CounterOp::Add(1)).expect("invoke"));
-        }
+    let warm = |tx: &mut Tx, handle: &Handle<Counter>| {
+        measure_window(tx, handle, WARM);
     };
 
     // Window A: observability off for the world's whole life.
-    let (_sys, handle, action) = activated(policy);
-    warm(&handle, action);
-    let window_a = measure_window(&handle, action, OPS);
+    let (_sys, handle, mut tx) = activated(policy);
+    warm(&mut tx, &handle);
+    let window_a = measure_window(&mut tx, &handle, OPS);
     let per_op = window_a as f64 / OPS as f64;
 
     // Window B: observability ON — reported for context, not gated (span
     // recording legitimately grows the span vec).
-    let (sys, handle, action) = activated(policy);
+    let (sys, handle, mut tx) = activated(policy);
     sys.obs().set_enabled(true);
-    warm(&handle, action);
-    let window_b = measure_window(&handle, action, OPS);
+    warm(&mut tx, &handle);
+    let window_b = measure_window(&mut tx, &handle, OPS);
     let spans_recorded = sys.obs().span_count();
 
     // Window C: enabled through warmup (so the registry has live state),
     // then disabled for the measured window — bit-identical to A or the
     // "zero-cost when off" contract is broken.
-    let (sys, handle, action) = activated(policy);
+    let (sys, handle, mut tx) = activated(policy);
     sys.obs().set_enabled(true);
-    warm(&handle, action);
+    warm(&mut tx, &handle);
     sys.obs().set_enabled(false);
-    let window_c = measure_window(&handle, action, OPS);
+    let window_c = measure_window(&mut tx, &handle, OPS);
 
     println!(
         "objects/invoke_heap_allocs/{policy:<31} {per_op:>8.3} allocs/op (budget {budget}) \
@@ -164,9 +164,9 @@ fn bench_invoke_heap_allocs(_c: &mut Criterion) {
     report_policy(ReplicationPolicy::SingleCopyPassive, 5.0);
 }
 
-/// Builds a 3-replica world with two accounts opened on one client,
-/// ready for typed transactions.
-fn tx_world(policy: ReplicationPolicy) -> (System, Handle<Account>, Handle<Account>) {
+/// Builds a 3-replica world with two accounts and a client, ready for
+/// typed transactions.
+fn tx_world(policy: ReplicationPolicy) -> (System, Client, Handle<Account>, Handle<Account>) {
     let sys = System::builder(13).nodes(9).policy(policy).build();
     let servers: Vec<NodeId> = (1..=3).map(n).collect();
     let a = sys
@@ -176,15 +176,15 @@ fn tx_world(policy: ReplicationPolicy) -> (System, Handle<Account>, Handle<Accou
         .create_typed(Account::new(0), &servers, &servers)
         .expect("create");
     let client = sys.client(n(7));
-    (sys, a.open(&client), b.open(&client))
+    (sys, client, a, b)
 }
 
 /// One measured window: total heap allocations across `txs` complete
 /// two-object transactions (begin → two invokes → commit).
-fn measure_tx_window(ha: &Handle<Account>, hb: &Handle<Account>, txs: u64) -> u64 {
+fn measure_tx_window(client: &Client, ha: &Handle<Account>, hb: &Handle<Account>, txs: u64) -> u64 {
     let before = allocs();
     for _ in 0..txs {
-        let mut tx = ha.client().begin().with_replicas(3);
+        let mut tx = client.begin().with_replicas(3);
         black_box(tx.invoke(ha, AccountOp::Deposit(1)).expect("first leg"));
         black_box(tx.invoke(hb, AccountOp::Deposit(1)).expect("second leg"));
         tx.commit().expect("commit");
@@ -199,26 +199,26 @@ fn measure_tx_window(ha: &Handle<Account>, hb: &Handle<Account>, txs: u64) -> u6
 fn report_tx_policy(policy: ReplicationPolicy, budget: f64) {
     const TXS: u64 = 200;
     const WARM: u64 = 32;
-    let warm = |ha: &Handle<Account>, hb: &Handle<Account>| {
-        measure_tx_window(ha, hb, WARM);
+    let warm = |client: &Client, ha: &Handle<Account>, hb: &Handle<Account>| {
+        measure_tx_window(client, ha, hb, WARM);
     };
 
-    let (_sys, ha, hb) = tx_world(policy);
-    warm(&ha, &hb);
-    let window_a = measure_tx_window(&ha, &hb, TXS);
+    let (_sys, client, ha, hb) = tx_world(policy);
+    warm(&client, &ha, &hb);
+    let window_a = measure_tx_window(&client, &ha, &hb, TXS);
     let per_tx = window_a as f64 / TXS as f64;
 
-    let (sys, ha, hb) = tx_world(policy);
+    let (sys, client, ha, hb) = tx_world(policy);
     sys.obs().set_enabled(true);
-    warm(&ha, &hb);
-    let window_b = measure_tx_window(&ha, &hb, TXS);
+    warm(&client, &ha, &hb);
+    let window_b = measure_tx_window(&client, &ha, &hb, TXS);
     let spans_recorded = sys.obs().span_count();
 
-    let (sys, ha, hb) = tx_world(policy);
+    let (sys, client, ha, hb) = tx_world(policy);
     sys.obs().set_enabled(true);
-    warm(&ha, &hb);
+    warm(&client, &ha, &hb);
     sys.obs().set_enabled(false);
-    let window_c = measure_tx_window(&ha, &hb, TXS);
+    let window_c = measure_tx_window(&client, &ha, &hb, TXS);
 
     println!(
         "objects/tx_heap_allocs/{policy:<35} {per_tx:>8.3} allocs/tx (budget {budget}) \
@@ -247,21 +247,21 @@ fn report_tx_policy(policy: ReplicationPolicy, budget: f64) {
 /// The transaction scoreboard: one whole two-object transfer per unit —
 /// begin, two auto-activating invokes, commit (one 2PC over both objects).
 fn bench_tx_heap_allocs(_c: &mut Criterion) {
-    report_tx_policy(ReplicationPolicy::Active, 130.0);
-    report_tx_policy(ReplicationPolicy::CoordinatorCohort, 108.0);
-    report_tx_policy(ReplicationPolicy::SingleCopyPassive, 100.0);
+    report_tx_policy(ReplicationPolicy::Active, 104.0);
+    report_tx_policy(ReplicationPolicy::CoordinatorCohort, 81.0);
+    report_tx_policy(ReplicationPolicy::SingleCopyPassive, 74.0);
 }
 
 /// Read path for contrast (no undo snapshot, no dirty marking).
 fn bench_read_heap_allocs(_c: &mut Criterion) {
     const OPS: u64 = 1_000;
-    let (_sys, handle, action) = activated(ReplicationPolicy::Active);
+    let (_sys, handle, mut tx) = activated(ReplicationPolicy::Active);
     for _ in 0..64 {
-        black_box(handle.invoke(action, CounterOp::Get).expect("read"));
+        black_box(tx.invoke(&handle, CounterOp::Get).expect("read"));
     }
     let before = allocs();
     for _ in 0..OPS {
-        black_box(handle.invoke(action, CounterOp::Get).expect("read"));
+        black_box(tx.invoke(&handle, CounterOp::Get).expect("read"));
     }
     let per_op = (allocs() - before) as f64 / OPS as f64;
     println!("objects/read_heap_allocs/active                  {per_op:>8.3} allocs/op");

@@ -1,10 +1,9 @@
 //! Invocation cost per replication policy and group size (§2.3(2)) — the
-//! price of masking failures, as wall-clock throughput. Driven through the
-//! typed `Handle` surface (the encoder-aware hot path).
+//! price of masking failures, as wall-clock throughput. Driven through one
+//! open `Tx` per world (the encoder-aware hot path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use groupview_actions::ActionId;
-use groupview_replication::{Counter, CounterOp, Handle, ReplicationPolicy, System};
+use groupview_replication::{Counter, CounterOp, Handle, ReplicationPolicy, System, Tx};
 use groupview_sim::wire;
 use groupview_sim::NodeId;
 use std::hint::black_box;
@@ -13,7 +12,7 @@ fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
-fn activated(policy: ReplicationPolicy, replicas: usize) -> (System, Handle<Counter>, ActionId) {
+fn activated(policy: ReplicationPolicy, replicas: usize) -> (System, Handle<Counter>, Tx) {
     let sys = System::builder(13).nodes(9).policy(policy).build();
     let servers: Vec<NodeId> = (1..=replicas as u32).map(n).collect();
     let uid = sys
@@ -21,18 +20,18 @@ fn activated(policy: ReplicationPolicy, replicas: usize) -> (System, Handle<Coun
         .expect("create");
     let client = sys.client(n(7));
     let handle = uid.open(&client);
-    let action = client.begin_action();
-    handle.activate(action, replicas).expect("activate");
-    (sys, handle, action)
+    let mut tx = client.begin().with_replicas(replicas);
+    tx.bind(&handle).expect("activate");
+    (sys, handle, tx)
 }
 
 fn bench_invoke_by_policy(c: &mut Criterion) {
     let mut bench_group = c.benchmark_group("policies/invoke_3_replicas");
     for policy in ReplicationPolicy::ALL {
-        let (_sys, handle, action) = activated(policy, 3);
+        let (_sys, handle, mut tx) = activated(policy, 3);
         bench_group.bench_function(BenchmarkId::from_parameter(policy.to_string()), |b| {
             b.iter(|| {
-                let value = handle.invoke(action, CounterOp::Add(1)).expect("invoke");
+                let value = tx.invoke(&handle, CounterOp::Add(1)).expect("invoke");
                 black_box(value)
             })
         });
@@ -43,10 +42,10 @@ fn bench_invoke_by_policy(c: &mut Criterion) {
 fn bench_active_by_group_size(c: &mut Criterion) {
     let mut bench_group = c.benchmark_group("policies/active_by_size");
     for replicas in [1usize, 2, 3, 5] {
-        let (_sys, handle, action) = activated(ReplicationPolicy::Active, replicas);
+        let (_sys, handle, mut tx) = activated(ReplicationPolicy::Active, replicas);
         bench_group.bench_function(BenchmarkId::from_parameter(replicas), |b| {
             b.iter(|| {
-                let value = handle.invoke(action, CounterOp::Add(1)).expect("invoke");
+                let value = tx.invoke(&handle, CounterOp::Add(1)).expect("invoke");
                 black_box(value)
             })
         });
@@ -57,11 +56,11 @@ fn bench_active_by_group_size(c: &mut Criterion) {
 fn bench_cohort_checkpoint_cost(c: &mut Criterion) {
     let mut bench_group = c.benchmark_group("policies/cohort_by_size");
     for replicas in [1usize, 3, 5] {
-        let (_sys, handle, action) = activated(ReplicationPolicy::CoordinatorCohort, replicas);
+        let (_sys, handle, mut tx) = activated(ReplicationPolicy::CoordinatorCohort, replicas);
         bench_group.bench_function(BenchmarkId::from_parameter(replicas), |b| {
             b.iter(|| {
                 // Each mutation checkpoints to all cohorts.
-                let value = handle.invoke(action, CounterOp::Add(1)).expect("invoke");
+                let value = tx.invoke(&handle, CounterOp::Add(1)).expect("invoke");
                 black_box(value)
             })
         });
@@ -71,19 +70,19 @@ fn bench_cohort_checkpoint_cost(c: &mut Criterion) {
 
 fn bench_read_vs_write(c: &mut Criterion) {
     let mut bench_group = c.benchmark_group("policies/read_vs_write");
-    let (_sys, handle, action) = activated(ReplicationPolicy::Active, 3);
+    let (_sys, handle, mut tx) = activated(ReplicationPolicy::Active, 3);
     bench_group.bench_function("write", |b| {
-        b.iter(|| black_box(handle.invoke(action, CounterOp::Add(1)).expect("write")))
+        b.iter(|| black_box(tx.invoke(&handle, CounterOp::Add(1)).expect("write")))
     });
-    // `Get` is read-only: the handle takes the read lock automatically.
+    // `Get` is read-only: the transaction takes the read lock automatically.
     bench_group.bench_function("read", |b| {
-        b.iter(|| black_box(handle.invoke(action, CounterOp::Get).expect("read")))
+        b.iter(|| black_box(tx.invoke(&handle, CounterOp::Get).expect("read")))
     });
     bench_group.finish();
 }
 
 /// Reports wire-buffer allocations per invocation, by policy (3 replicas)
-/// and for reads vs writes. The typed handle encodes the op into a pooled
+/// and for reads vs writes. The transaction encodes the op into a pooled
 /// frame and the encoder-aware objects write replies/snapshots through the
 /// pool, so steady state is near zero; CI prints these so hot-path
 /// allocation regressions show up in the logs. (Heap-level budgets are
@@ -91,13 +90,13 @@ fn bench_read_vs_write(c: &mut Criterion) {
 fn bench_invoke_allocation_counts(_c: &mut Criterion) {
     const OPS: u64 = 1_000;
     fn report(label: String, policy: ReplicationPolicy, op: CounterOp) {
-        let (_sys, handle, action) = activated(policy, 3);
+        let (_sys, handle, mut tx) = activated(policy, 3);
         for _ in 0..8 {
-            black_box(handle.invoke(action, op).expect("invoke"));
+            black_box(tx.invoke(&handle, op).expect("invoke"));
         }
         let before = wire::stats();
         for _ in 0..OPS {
-            black_box(handle.invoke(action, op).expect("invoke"));
+            black_box(tx.invoke(&handle, op).expect("invoke"));
         }
         let d = wire::stats().since(before);
         println!(

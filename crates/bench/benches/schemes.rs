@@ -32,11 +32,9 @@ fn bench_full_action(c: &mut Criterion) {
         let counter = uid.open(&client);
         group.bench_function(BenchmarkId::from_parameter(scheme.to_string()), |b| {
             b.iter(|| {
-                let action = client.begin_action();
-                counter.activate(action, 2).expect("activate");
-                counter.invoke(action, CounterOp::Add(1)).expect("invoke");
-                client.commit(action).expect("commit");
-                counter.forget(action);
+                let mut tx = client.begin().with_replicas(2);
+                tx.invoke(&counter, CounterOp::Add(1)).expect("invoke");
+                tx.commit().expect("commit");
             })
         });
     }
@@ -51,11 +49,9 @@ fn bench_read_action(c: &mut Criterion) {
         let counter = uid.open(&client);
         group.bench_function(BenchmarkId::from_parameter(scheme.to_string()), |b| {
             b.iter(|| {
-                let action = client.begin_action();
-                counter.activate_read_only(action, 1).expect("activate");
-                let value = counter.invoke(action, CounterOp::Get).expect("read");
-                client.commit(action).expect("commit");
-                counter.forget(action);
+                let mut tx = client.begin_read().with_replicas(1);
+                let value = tx.invoke(&counter, CounterOp::Get).expect("read");
+                tx.commit().expect("commit");
                 black_box(value)
             })
         });
@@ -73,10 +69,10 @@ fn bench_bind_with_dead_server(c: &mut Criterion) {
         let client = sys.client(n(5));
         group.bench_function(BenchmarkId::from_parameter(scheme.to_string()), |b| {
             b.iter(|| {
-                let action = client.begin_action();
-                let g = client.activate(action, uid.uid(), 2).expect("activate");
-                client.commit(action).expect("commit");
-                black_box(g.servers.len())
+                let mut tx = client.begin().with_replicas(2);
+                let bound = tx.bind(&uid).expect("activate").servers.len();
+                tx.commit().expect("commit");
+                black_box(bound)
             })
         });
     }

@@ -15,7 +15,7 @@
 //! cargo run -p groupview-bench --bin experiments --release trend
 //! ```
 
-use groupview_bench::{all_experiments, tracefile, trajectory, trend, TrajectoryConfig};
+use groupview_bench::{select_experiments, tracefile, trajectory, trend, TrajectoryConfig};
 use groupview_scenario::{run_soak, SoakConfig};
 use std::time::Instant;
 
@@ -163,11 +163,10 @@ fn main() {
         }
         return;
     }
-    let wanted: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        all_experiments().iter().map(|e| e.id.to_string()).collect()
-    } else {
-        args
-    };
+    let selected = select_experiments(&args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
 
     println!("# groupview experiments\n");
     println!(
@@ -175,10 +174,7 @@ fn main() {
          about Persistent Replicated Objects in a Distributed System\" (ICDCS 1993).\n"
     );
 
-    for experiment in all_experiments() {
-        if !wanted.iter().any(|w| w == experiment.id) {
-            continue;
-        }
+    for experiment in selected {
         let started = Instant::now();
         let tables = (experiment.run)();
         let elapsed = started.elapsed();

@@ -1,14 +1,14 @@
-//! The twelve experiments (E1–E12), one per paper figure/section.
+//! The thirteen experiments (E1–E13), one per paper figure/section.
 //!
 //! Each experiment is a deterministic function returning one or more
-//! [`TextTable`]s. `DESIGN.md` maps experiments to paper figures;
-//! `EXPERIMENTS.md` records the measured output next to the paper's claim.
+//! [`TextTable`]s. [`all_experiments`] maps each to its paper figure and
+//! claim; the tables print next to the claim when the harness runs.
 
 use groupview_core::{BindingScheme, ExcludePolicy};
 use groupview_group::comms::DeliveryMode;
 use groupview_group::member::RecordingMember;
 use groupview_group::GroupComms;
-use groupview_replication::{Counter, CounterOp, ReplicationPolicy, System};
+use groupview_replication::{Counter, CounterOp, Handle, ReplicationPolicy, System, Tx, TypedUid};
 use groupview_scenario::run_plan;
 use groupview_sim::{Bytes, NetConfig, NodeId, Sim, SimConfig};
 use groupview_store::Uid;
@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 /// A named experiment.
 pub struct Experiment {
-    /// Identifier (`e1`..`e12`).
+    /// Identifier (`e1`..`e13`).
     pub id: &'static str,
     /// The paper figure or section it quantifies.
     pub figure: &'static str,
@@ -138,6 +138,35 @@ pub fn run_experiment(id: &str) -> Option<Vec<TextTable>> {
         .into_iter()
         .find(|e| e.id == id)
         .map(|e| (e.run)())
+}
+
+/// The `experiments` binary's commands other than experiment ids.
+const COMMANDS: [&str; 3] = ["soak", "trajectory", "trend"];
+
+/// Resolves the `experiments` binary's arguments to the experiments to
+/// run, in index order; no arguments, or `all` among them, selects every
+/// experiment.
+///
+/// # Errors
+///
+/// The first argument that names no experiment, in a message listing every
+/// valid id and command.
+pub fn select_experiments(args: &[String]) -> Result<Vec<Experiment>, String> {
+    let all = all_experiments();
+    if args.is_empty() || args.iter().any(|a| a == "all") {
+        return Ok(all);
+    }
+    if let Some(unknown) = args.iter().find(|a| !all.iter().any(|e| e.id == *a)) {
+        let valid: Vec<&str> = all.iter().map(|e| e.id).chain(COMMANDS).collect();
+        return Err(format!(
+            "unknown experiment {unknown:?}; valid ids: all, {}",
+            valid.join(", ")
+        ));
+    }
+    Ok(all
+        .into_iter()
+        .filter(|e| args.iter().any(|a| a == e.id))
+        .collect())
 }
 
 fn n(i: u32) -> NodeId {
@@ -716,27 +745,22 @@ fn e9_trial(seed: u64, readers: usize, policy: ExcludePolicy) -> bool {
     // nested GetView leaves each holding a read lock on the St entry. (They
     // do not invoke — the contention under test is on the database entry,
     // not on the object itself.)
+    let counter = TypedUid::<Counter>::assume(uid);
     let mut open = Vec::new();
     for r in 0..readers {
-        let reader = sys.client(n(3 + r as u32));
-        let action = reader.begin_action();
-        let _group = reader
-            .activate_read_only(action, uid, 1)
-            .expect("reader activates");
-        open.push((reader, action));
+        let mut reader = sys.client(n(3 + r as u32)).begin_read().with_replicas(1);
+        reader.bind(&counter).expect("reader activates");
+        open.push(reader);
     }
     // The writer mutates; one store crashes; commit needs Exclude.
-    let writer = sys.client(n(12));
-    let counter = writer.open::<Counter>(uid);
-    let action = writer.begin_action();
-    counter.activate(action, 1).expect("writer activates");
-    counter
-        .invoke(action, CounterOp::Add(1))
+    let mut writer = sys.client(n(12)).begin().with_replicas(1);
+    writer
+        .invoke(&counter, CounterOp::Add(1))
         .expect("writer writes");
     sys.sim().crash(n(2));
-    let committed = writer.commit(action).is_ok();
-    for (reader, action) in open {
-        let _ = reader.commit(action);
+    let committed = writer.commit().is_ok();
+    for reader in open {
+        let _ = reader.commit();
     }
     committed
 }
@@ -804,12 +828,10 @@ fn e10_trial(seed: u64, ablate: bool) -> E10Outcome {
         .expect("create");
     // Writer commits value 7 while n2 (a store) is down.
     sys.sim().crash(n(2));
-    let writer = sys.client(n(3));
-    let counter = writer.open::<Counter>(uid);
-    let action = writer.begin_action();
-    counter.activate(action, 1).expect("activate");
-    counter.invoke(action, CounterOp::Add(7)).expect("write");
-    if writer.commit(action).is_err() {
+    let counter = TypedUid::<Counter>::assume(uid);
+    let mut writer = sys.client(n(3)).begin().with_replicas(1);
+    writer.invoke(&counter, CounterOp::Add(7)).expect("write");
+    if writer.commit().is_err() {
         return E10Outcome::Unavailable;
     }
     // Passivate so the reader must reload from a store.
@@ -818,26 +840,24 @@ fn e10_trial(seed: u64, ablate: bool) -> E10Outcome {
     sys.sim().recover(n(2));
     sys.sim().crash(n(1));
     // A new client binds and reads.
-    let reader = sys.client(n(4));
-    let observer = reader.open::<Counter>(uid);
-    let action = reader.begin_action();
-    match observer.activate_read_only(action, 1) {
-        Ok(_) => match observer.invoke(action, CounterOp::Get) {
-            Ok(value) => {
-                let _ = reader.commit(action);
-                if value == 7 {
-                    E10Outcome::Fresh
-                } else {
-                    E10Outcome::Stale
-                }
+    fresh_read(&sys, counter)
+}
+
+/// The E10/E13 reader: a new client binds read-only and reads the value
+/// the writer committed (7), a stale one, or nothing.
+fn fresh_read(sys: &System, counter: TypedUid<Counter>) -> E10Outcome {
+    let mut reader = sys.client(n(4)).begin_read().with_replicas(1);
+    match reader.invoke(&counter, CounterOp::Get) {
+        Ok(value) => {
+            let _ = reader.commit();
+            if value == 7 {
+                E10Outcome::Fresh
+            } else {
+                E10Outcome::Stale
             }
-            Err(_) => {
-                reader.abort(action);
-                E10Outcome::Unavailable
-            }
-        },
+        }
         Err(_) => {
-            reader.abort(action);
+            reader.abort();
             E10Outcome::Unavailable
         }
     }
@@ -879,38 +899,26 @@ fn e11_trial(seed: u64, load: usize) -> (u64, f64) {
         )
         .expect("create");
     sys.sim().crash(n(3));
-    let writer = sys.client(n(10));
-    let counter = writer.open::<Counter>(uid);
-    let action = writer.begin_action();
-    counter.activate(action, 2).expect("activate");
-    counter.invoke(action, CounterOp::Add(1)).expect("write");
-    writer.commit(action).expect("commit excludes n3");
+    let counter = TypedUid::<Counter>::assume(uid);
+    let mut writer = sys.client(n(10)).begin().with_replicas(2);
+    writer.invoke(&counter, CounterOp::Add(1)).expect("write");
+    writer.commit().expect("commit excludes n3");
     assert_eq!(sys.naming().state_db.entry(uid).unwrap().len(), 2);
 
     // Reader churn: each reader keeps an action open across iterations,
     // closing and reopening with 50% probability per step.
     let readers: Vec<_> = (0..load).map(|r| sys.client(n(4 + r as u32))).collect();
-    let mut open: Vec<Option<groupview_actions::ActionId>> = vec![None; load];
+    let mut open: Vec<Option<Tx>> = (0..load).map(|_| None).collect();
 
     sys.sim().recover(n(3));
     let start = sys.sim().now();
     let mut attempts = 0u64;
     loop {
         // Churn the readers first.
-        for (i, reader) in readers.iter().enumerate() {
-            if let Some(a) = open[i] {
-                if sys.sim().chance(0.5) {
-                    let _ = reader.commit(a);
-                    open[i] = None;
-                }
-            } else if sys.sim().chance(0.8) {
-                let a = reader.begin_action();
-                if reader.activate_read_only(a, uid, 1).is_ok() {
-                    open[i] = Some(a);
-                } else {
-                    reader.abort(a);
-                }
-            }
+        for (reader, slot) in readers.iter().zip(&mut open) {
+            churn(sys.sim(), slot, 0.5, &counter, || {
+                reader.begin_read().with_replicas(1)
+            });
         }
         attempts += 1;
         let report = sys.recovery().recover_store(n(3));
@@ -921,13 +929,39 @@ fn e11_trial(seed: u64, load: usize) -> (u64, f64) {
             break; // safety net
         }
     }
-    for (i, reader) in readers.iter().enumerate() {
-        if let Some(a) = open[i] {
-            let _ = reader.commit(a);
-        }
+    for tx in open.into_iter().flatten() {
+        let _ = tx.commit();
     }
     let elapsed = sys.sim().now().since(start);
     (attempts, elapsed.as_micros() as f64 / 1_000.0)
+}
+
+/// One churn step for a client's slot: an open transaction commits with
+/// probability `close`; an empty slot, with probability 0.8, begins a
+/// transaction that binds `counter` and stays open (holding its `St` read
+/// lock) — or aborts if the binding fails.
+fn churn(
+    sim: &Sim,
+    slot: &mut Option<Tx>,
+    close: f64,
+    counter: &Handle<Counter>,
+    begin: impl FnOnce() -> Tx,
+) {
+    match slot.take() {
+        Some(tx) if sim.chance(close) => {
+            let _ = tx.commit();
+        }
+        Some(tx) => *slot = Some(tx),
+        None if sim.chance(0.8) => {
+            let mut tx = begin();
+            if tx.bind(counter).is_ok() {
+                *slot = Some(tx);
+            } else {
+                tx.abort();
+            }
+        }
+        None => {}
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1050,8 +1084,9 @@ fn e13_admin_trial(seed: u64, scheme: BindingScheme) -> (u64, u64) {
     let uid = sys
         .create_object(Box::new(Counter::new(0)), &[n(1), n(2)], &[n(1), n(2)])
         .expect("create");
+    let counter = TypedUid::<Counter>::assume(uid);
     let clients: Vec<_> = (0..3).map(|i| sys.client(n(4 + i))).collect();
-    let mut open: Vec<Option<groupview_actions::ActionId>> = vec![None; clients.len()];
+    let mut open: Vec<Option<Tx>> = clients.iter().map(|_| None).collect();
     let mut attempts = 0u64;
     let mut successes = 0u64;
     let spare = n(3); // the node the admin adds/removes as a server site
@@ -1059,20 +1094,10 @@ fn e13_admin_trial(seed: u64, scheme: BindingScheme) -> (u64, u64) {
     for _round in 0..60 {
         // Client churn: most of the time at least one action is open,
         // holding (under the standard scheme) a read lock on the entry.
-        for (i, client) in clients.iter().enumerate() {
-            if let Some(a) = open[i] {
-                if sys.sim().chance(0.3) {
-                    let _ = client.commit(a);
-                    open[i] = None;
-                }
-            } else if sys.sim().chance(0.8) {
-                let a = client.begin_action();
-                if client.activate(a, uid, 2).is_ok() {
-                    open[i] = Some(a);
-                } else {
-                    client.abort(a);
-                }
-            }
+        for (client, slot) in clients.iter().zip(&mut open) {
+            churn(sys.sim(), slot, 0.3, &counter, || {
+                client.begin().with_replicas(2)
+            });
         }
         // The administrator toggles the spare server's membership.
         attempts += 1;
@@ -1107,10 +1132,8 @@ fn e13_admin_trial(seed: u64, scheme: BindingScheme) -> (u64, u64) {
             }
         }
     }
-    for (i, client) in clients.iter().enumerate() {
-        if let Some(a) = open[i] {
-            let _ = client.commit(a);
-        }
+    for tx in open.into_iter().flatten() {
+        let _ = tx.commit();
     }
     (attempts, successes)
 }
@@ -1126,42 +1149,15 @@ fn e13_safety_trial(seed: u64, scheme: BindingScheme) -> E10Outcome {
         .create_object(Box::new(Counter::new(0)), &[n(3), n(4)], &[n(1), n(2)])
         .expect("create");
     sys.sim().crash(n(2));
-    let writer = sys.client(n(3));
-    let counter = writer.open::<Counter>(uid);
-    let action = writer.begin_action();
-    if counter.activate(action, 1).is_err() {
-        writer.abort(action);
-        return E10Outcome::Unavailable;
-    }
-    if counter.invoke(action, CounterOp::Add(7)).is_err() || writer.commit(action).is_err() {
+    let counter = TypedUid::<Counter>::assume(uid);
+    let mut writer = sys.client(n(3)).begin().with_replicas(1);
+    if writer.invoke(&counter, CounterOp::Add(7)).is_err() || writer.commit().is_err() {
         return E10Outcome::Unavailable;
     }
     assert!(sys.try_passivate(uid));
     sys.sim().recover(n(2));
     sys.sim().crash(n(1));
-    let reader = sys.client(n(4));
-    let observer = reader.open::<Counter>(uid);
-    let action = reader.begin_action();
-    match observer.activate_read_only(action, 1) {
-        Ok(_) => match observer.invoke(action, CounterOp::Get) {
-            Ok(value) => {
-                let _ = reader.commit(action);
-                if value == 7 {
-                    E10Outcome::Fresh
-                } else {
-                    E10Outcome::Stale
-                }
-            }
-            Err(_) => {
-                reader.abort(action);
-                E10Outcome::Unavailable
-            }
-        },
-        Err(_) => {
-            reader.abort(action);
-            E10Outcome::Unavailable
-        }
-    }
+    fresh_read(&sys, counter)
 }
 
 #[cfg(test)]
@@ -1178,6 +1174,28 @@ mod tests {
             assert!(!e.claim.is_empty());
         }
         assert!(run_experiment("nope").is_none());
+    }
+
+    #[test]
+    fn selection_keeps_index_order_and_rejects_unknown_ids() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ids = |list: &[&str]| -> Vec<&'static str> {
+            select_experiments(&args(list))
+                .expect("valid ids")
+                .iter()
+                .map(|e| e.id)
+                .collect()
+        };
+        assert_eq!(ids(&[]).len(), 13);
+        assert_eq!(ids(&["e9", "all"]).len(), 13);
+        assert_eq!(ids(&["e10", "e2"]), vec!["e2", "e10"]);
+        let Err(err) = select_experiments(&args(&["e2", "bogus"])) else {
+            panic!("an unknown id must be rejected");
+        };
+        assert!(err.contains("\"bogus\""), "{err}");
+        for valid in ["e1", "e13", "soak", "trajectory", "trend"] {
+            assert!(err.contains(valid), "{err} lacks {valid}");
+        }
     }
 
     #[test]

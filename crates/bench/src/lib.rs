@@ -2,11 +2,11 @@
 //!
 //! The paper's figures are schematic protocol diagrams, not measured plots;
 //! each experiment here quantifies the claim behind one figure (or section)
-//! — see `DESIGN.md` for the full index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured results. Run them with:
+//! — [`all_experiments`] is the index, each entry naming its figure and the
+//! paper's claim. Run them with:
 //!
 //! ```text
-//! cargo run -p groupview-bench --bin experiments --release [e1..e12|all]
+//! cargo run -p groupview-bench --bin experiments --release [e1..e13|all]
 //! ```
 //!
 //! Every experiment is a pure function of its seeds: re-running reproduces
@@ -17,6 +17,6 @@ pub mod tracefile;
 pub mod trajectory;
 pub mod trend;
 
-pub use crate::experiments::{all_experiments, run_experiment, Experiment};
+pub use crate::experiments::{all_experiments, run_experiment, select_experiments, Experiment};
 pub use crate::trajectory::{TrajectoryConfig, TrajectoryReport};
 pub use crate::trend::{parse_history, render_trend_svg, TrendPoint, TrendSample};

@@ -284,26 +284,25 @@ fn drive(
     while done < ops_target {
         let uid = uids[(actions as usize) % uids.len()];
         actions += 1;
-        let handle = uid.open(client);
-        let action = client.begin_action();
-        handle.activate(action, replicas).expect("activate");
+        let mut tx = client.begin().with_replicas(replicas);
+        tx.bind(&uid).expect("activate");
         let in_action = (ops_per_action as u64).min(ops_target - done) as usize;
         let mut left = in_action;
         while left > 0 {
             let k = batch.min(left);
             let t = Instant::now();
             if batch == 1 {
-                black_box(handle.invoke(action, CounterOp::Add(1)).expect("invoke"));
+                black_box(tx.invoke(&uid, CounterOp::Add(1)).expect("invoke"));
             } else {
                 let ops = vec![CounterOp::Add(1); k];
-                black_box(handle.invoke_batch(action, &ops).expect("invoke batch"));
+                black_box(tx.invoke_batch(&uid, &ops).expect("invoke batch"));
             }
             let per_op_ns = t.elapsed().as_nanos() as f64 / k as f64;
             latency.add(per_op_ns as u64);
             samples.push(per_op_ns);
             left -= k;
         }
-        client.commit(action).expect("commit");
+        tx.commit().expect("commit");
         done += in_action as u64;
     }
     let elapsed = started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);

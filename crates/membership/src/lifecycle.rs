@@ -341,12 +341,9 @@ mod tests {
         assert!(m.replica_count(fresh) >= 1, "new node absorbed a replica");
 
         // The moved objects still serve invocations.
-        let client = sys.client(n[4]);
-        let counter = a.open(&client);
-        let action = client.begin_action();
-        counter.activate(action, 2).unwrap();
-        assert_eq!(counter.invoke(action, CounterOp::Get).unwrap(), 1);
-        client.commit(action).unwrap();
+        let mut tx = sys.client(n[4]).begin().with_replicas(2);
+        assert_eq!(tx.invoke(&a, CounterOp::Get).unwrap(), 1);
+        tx.commit().unwrap();
     }
 
     #[test]
@@ -359,11 +356,8 @@ mod tests {
         let _fresh = m.add_node();
 
         // A client holds the object active across the drain attempt.
-        let client = sys.client(n[4]);
-        let counter = uid.open(&client);
-        let action = client.begin_action();
-        counter.activate(action, 2).unwrap();
-        counter.invoke(action, CounterOp::Add(5)).unwrap();
+        let mut tx = sys.client(n[4]).begin().with_replicas(2);
+        tx.invoke(&uid, CounterOp::Add(5)).unwrap();
 
         let report = m.drain_node(n[1], 2);
         assert!(!report.complete);
@@ -371,7 +365,7 @@ mod tests {
         assert_eq!(m.status(n[1]), NodeStatus::Draining, "not decommissioned");
 
         // Client finishes on the pinned incarnation; a retry then drains.
-        client.commit(action).unwrap();
+        tx.commit().unwrap();
         assert!(sys.try_passivate(uid.uid()));
         let retry = m.drain_step(n[1]);
         assert!(retry.complete, "{retry}");

@@ -284,11 +284,8 @@ mod tests {
             .create_typed(Counter::new(0), &n[1..3], &n[1..3])
             .unwrap();
         let fresh = m.add_node();
-        let client = sys.client(n[4]);
-        let counter = uid.open(&client);
-        let action = client.begin_action();
-        counter.activate(action, 2).unwrap();
-        counter.invoke(action, CounterOp::Add(1)).unwrap();
+        let mut tx = sys.client(n[4]).begin().with_replicas(2);
+        tx.invoke(&uid, CounterOp::Add(1)).unwrap();
 
         let before_sv = sys.naming().server_db.entry(uid.uid()).unwrap();
         let before_st = sys.naming().state_db.entry(uid.uid()).unwrap();
@@ -296,12 +293,12 @@ mod tests {
         assert!(err.is_busy(), "{err}");
         assert_eq!(sys.naming().server_db.entry(uid.uid()).unwrap(), before_sv);
         assert_eq!(sys.naming().state_db.entry(uid.uid()).unwrap(), before_st);
-        assert!(sys.tx().locks_empty() || sys.tx().is_active(action));
+        assert!(sys.tx().locks_empty() || sys.tx().is_active(tx.action()));
         assert!(!sys.stores().is_retired(n[1], uid.uid()));
 
         // The pinned incarnation finishes untouched.
-        assert_eq!(counter.invoke(action, CounterOp::Get).unwrap(), 1);
-        client.commit(action).unwrap();
+        assert_eq!(tx.invoke(&uid, CounterOp::Get).unwrap(), 1);
+        tx.commit().unwrap();
     }
 
     #[test]
@@ -353,12 +350,9 @@ mod tests {
         assert_eq!(st.len(), 2);
 
         // And the object still answers with the committed value.
-        let client = sys.client(n[4]);
-        let counter = uid.open(&client);
-        let action = client.begin_action();
-        counter.activate(action, 2).unwrap();
-        assert_eq!(counter.invoke(action, CounterOp::Get).unwrap(), 5);
-        client.commit(action).unwrap();
+        let mut tx = sys.client(n[4]).begin().with_replicas(2);
+        assert_eq!(tx.invoke(&uid, CounterOp::Get).unwrap(), 5);
+        tx.commit().unwrap();
     }
 
     #[test]

@@ -403,15 +403,13 @@ mod tests {
         // Everything still serves.
         let client = sys.client(n[4]);
         for (i, uid) in uids.iter().enumerate() {
-            let counter = uid.open(&client);
-            let action = client.begin_action();
-            counter.activate(action, 1).unwrap();
+            let mut tx = client.begin().with_replicas(1);
             assert_eq!(
-                counter.invoke(action, CounterOp::Get).unwrap(),
+                tx.invoke(uid, CounterOp::Get).unwrap(),
                 i as i64,
                 "object {i} kept its committed state"
             );
-            client.commit(action).unwrap();
+            tx.commit().unwrap();
         }
     }
 
@@ -422,12 +420,10 @@ mod tests {
         let cold = sys.create_typed(Counter::new(0), &[n[1]], &[n[1]]).unwrap();
         // Drive traffic at the hot object only.
         let client = sys.client(n[4]);
-        let counter = hot.open(&client);
         for _ in 0..5 {
-            let action = client.begin_action();
-            counter.activate(action, 1).unwrap();
-            counter.invoke(action, CounterOp::Add(1)).unwrap();
-            client.commit(action).unwrap();
+            let mut tx = client.begin().with_replicas(1);
+            tx.invoke(&hot, CounterOp::Add(1)).unwrap();
+            tx.commit().unwrap();
         }
         let reb = Rebalancer::default();
         let stats = reb.object_stats(&m);

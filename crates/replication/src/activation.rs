@@ -226,6 +226,7 @@ impl System {
             req,
             binding,
             incarnations,
+            dirty: false,
         })
     }
 }

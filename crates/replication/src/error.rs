@@ -99,10 +99,11 @@ pub enum InvokeError {
     /// A replica exists but holds no loaded state (activation raced a
     /// crash); the action should abort and retry.
     NotLoaded(Uid),
-    /// A typed `Handle` invoked without activating the object for this
-    /// action first (client programming error, not a system failure).
-    NotActivated(Uid),
-    /// A typed `Handle` received reply bytes that do not decode as the
+    /// A write operation was issued in a read-only transaction (one begun
+    /// with `Client::begin_read`); refused before any lock or undo entry
+    /// (client programming error, not a system failure).
+    ReadOnly(Uid),
+    /// A typed invocation received reply bytes that do not decode as the
     /// class's reply type — a violation of the `ObjectType` codec contract.
     MalformedReply(Uid),
 }
@@ -112,13 +113,13 @@ impl InvokeError {
     /// to ordinary lock contention between live clients). Workload metrics
     /// use this to tell "a crash made the action abort" apart from "two
     /// writers raced". Typed-surface contract violations
-    /// ([`InvokeError::NotActivated`], [`InvokeError::MalformedReply`]) are
+    /// ([`InvokeError::ReadOnly`], [`InvokeError::MalformedReply`]) are
     /// client bugs, not crashes, and count as neither.
     pub fn is_failure_caused(&self) -> bool {
         !matches!(
             self,
             InvokeError::Tx(TxError::LockRefused { .. })
-                | InvokeError::NotActivated(_)
+                | InvokeError::ReadOnly(_)
                 | InvokeError::MalformedReply(_)
         )
     }
@@ -134,8 +135,8 @@ impl fmt::Display for InvokeError {
             }
             InvokeError::ServerFailed(uid) => write!(f, "the server for {uid} has failed"),
             InvokeError::NotLoaded(uid) => write!(f, "replica of {uid} lost its state"),
-            InvokeError::NotActivated(uid) => {
-                write!(f, "{uid} was not activated for this action")
+            InvokeError::ReadOnly(uid) => {
+                write!(f, "write to {uid} refused: the transaction is read-only")
             }
             InvokeError::MalformedReply(uid) => {
                 write!(
@@ -269,13 +270,11 @@ mod tests {
             .to_string()
             .contains("server"));
         assert!(InvokeError::NotLoaded(uid).to_string().contains("state"));
-        assert!(InvokeError::NotActivated(uid)
-            .to_string()
-            .contains("activated"));
+        assert!(InvokeError::ReadOnly(uid).to_string().contains("read-only"));
         assert!(InvokeError::MalformedReply(uid)
             .to_string()
             .contains("decode"));
-        assert!(!InvokeError::NotActivated(uid).is_failure_caused());
+        assert!(!InvokeError::ReadOnly(uid).is_failure_caused());
         assert!(!InvokeError::MalformedReply(uid).is_failure_caused());
         assert!(CommitError::AllStoresFailed {
             uid,

@@ -33,7 +33,7 @@ pub fn object_key(uid: Uid) -> LockKey {
 
 /// A client's handle to an activated object: the bound servers plus the
 /// `St` view captured (and read-locked) at activation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ObjectGroup {
     /// The object.
     pub uid: Uid,
@@ -55,6 +55,9 @@ pub struct ObjectGroup {
     /// refuse replicas that were reborn (crashed and reloaded by a later
     /// activation) underneath this action.
     pub(crate) incarnations: Vec<(NodeId, u64)>,
+    /// Whether an invocation changed the object's state under this action
+    /// (only dirty objects are copied to the stores at commit).
+    pub(crate) dirty: bool,
 }
 
 impl ObjectGroup {
@@ -144,7 +147,7 @@ impl System {
     pub(crate) fn do_invoke(
         &self,
         action: ActionId,
-        group: &ObjectGroup,
+        group: &mut ObjectGroup,
         op: &[u8],
         write_intent: bool,
     ) -> Result<Bytes, InvokeError> {
@@ -156,7 +159,7 @@ impl System {
     fn do_invoke_inner(
         &self,
         action: ActionId,
-        group: &ObjectGroup,
+        group: &mut ObjectGroup,
         op: &[u8],
         write_intent: bool,
     ) -> Result<Bytes, InvokeError> {
@@ -182,9 +185,7 @@ impl System {
         // the last reference drops at the end of this call.
         let msg = GroupMsgCodec::encode_parts(&inner.wire, op_id, op);
         let (reply, mutated) = self.dispatch_policy(action, group, &msg)?;
-        if mutated {
-            self.mark_dirty(action, group.uid);
-        }
+        group.dirty |= mutated;
         inner.obs.span(
             action.raw(),
             Phase::Invoke,
@@ -237,7 +238,7 @@ impl System {
     pub(crate) fn do_invoke_batch(
         &self,
         action: ActionId,
-        group: &ObjectGroup,
+        group: &mut ObjectGroup,
         ops: &[&[u8]],
         write_intent: bool,
     ) -> Result<Vec<Bytes>, InvokeError> {
@@ -252,7 +253,7 @@ impl System {
     fn do_invoke_batch_inner(
         &self,
         action: ActionId,
-        group: &ObjectGroup,
+        group: &mut ObjectGroup,
         ops: &[&[u8]],
         write_intent: bool,
     ) -> Result<Vec<Bytes>, InvokeError> {
@@ -280,9 +281,7 @@ impl System {
         // replica the policy touches.
         let msg = BatchMsgCodec::encode_parts(&inner.wire, batch_id, ops);
         let (reply, mutated) = self.dispatch_policy(action, group, &msg)?;
-        if mutated {
-            self.mark_dirty(action, group.uid);
-        }
+        group.dirty |= mutated;
         let replies = read_frames(&reply).ok_or(InvokeError::MalformedReply(group.uid))?;
         if replies.len() != ops.len() {
             return Err(InvokeError::MalformedReply(group.uid));

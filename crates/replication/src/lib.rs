@@ -24,13 +24,14 @@
 //! modified.
 //!
 //! The entry point is [`System`] (built with [`SystemBuilder`]), its
-//! per-application [`Client`] handles, and the typed [`Handle`] surface
+//! per-application [`Client`]s, and the one client surface: a [`Tx`]
+//! transaction from [`Client::begin`] that invokes typed [`Handle`]s
 //! ([`ObjectType`] classes — operations in, decoded replies out):
 //!
 //! ```rust
 //! use groupview_replication::{System, Counter, CounterOp};
 //!
-//! let mut sys = System::builder(7).nodes(5).build();
+//! let sys = System::builder(7).nodes(5).build();
 //! let nodes = sys.sim().nodes();
 //! let uid = sys
 //!     .create_typed(Counter::new(0), &nodes[1..4], &nodes[1..4])
@@ -38,10 +39,9 @@
 //!
 //! let client = sys.client(nodes[4]);
 //! let counter = uid.open(&client);
-//! let action = client.begin_action();
-//! counter.activate(action, 2).expect("activate");
-//! assert_eq!(counter.invoke(action, CounterOp::Add(5)).expect("invoke"), 5);
-//! client.commit(action).expect("commit");
+//! let mut tx = client.begin().with_replicas(2);
+//! assert_eq!(tx.invoke(&counter, CounterOp::Add(5)).expect("invoke"), 5);
+//! tx.commit().expect("commit");
 //! ```
 
 pub mod activation;
@@ -81,7 +81,7 @@ pub use crate::wire::{
 pub use groupview_store::TypeTag as __TypeTag;
 
 /// Compile-time proof that replication values crossing a shard-thread
-/// boundary are `Send`. [`System`]/[`Client`]/[`Handle`] are shard-local
+/// boundary are `Send`. [`System`]/[`Client`]/[`Tx`] are shard-local
 /// by design (`Rc<RefCell<…>>` worlds, no locks on the hot path); what
 /// crosses threads is the message layer — frames, batch envelopes,
 /// replies, and errors. The sharded façade itself lives in

@@ -451,9 +451,9 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// Routes typed calls to the shard owning each UID, one atomic action per
-/// call (begin → activate → invoke → commit on the shard's resident
-/// client). Obtained from [`ShardedSystem::client`].
+/// Routes typed calls to the shard owning each UID, one [`Tx`] per call on
+/// the shard's resident client ([`ShardedClient::transact`] is the one
+/// routed path). Obtained from [`ShardedSystem::client`].
 ///
 /// This is the correctness surface: cross-shard traffic stays explicit
 /// messages. Throughput-critical loops should ship whole drive loops with
@@ -470,43 +470,25 @@ impl ShardedClient<'_> {
         self.system.router.route(uid)
     }
 
-    /// Invokes one typed operation as one atomic action on the owning
-    /// shard and returns the decoded reply.
+    /// Invokes one typed operation as one transaction on the owning shard
+    /// (see [`ShardedClient::transact`]) and returns the decoded reply.
     ///
     /// # Errors
     ///
     /// See [`ShardError`]; on error the action was aborted on the shard.
     pub fn invoke<O>(&self, uid: TypedUid<O>, op: O::Op) -> Result<O::Reply, ShardError>
     where
-        O: ObjectType + 'static,
+        O: ObjectType,
         O::Op: Send,
-        O::Reply: Send + 'static,
+        O::Reply: Send,
     {
-        let replicas = self.replicas;
-        self.system.exec(self.shard_of(uid.uid()), move |world| {
-            let client = world.client();
-            let handle = uid.open(client);
-            let action = client.begin_action();
-            if let Err(e) = handle.activate(action, replicas) {
-                client.abort(action);
-                return Err(ShardError::Activate(e));
-            }
-            let reply = match handle.invoke(action, op) {
-                Ok(reply) => reply,
-                Err(e) => {
-                    client.abort(action);
-                    return Err(ShardError::Invoke(e));
-                }
-            };
-            client.commit(action).map_err(ShardError::Commit)?;
-            Ok(reply)
-        })
+        self.transact(&[uid.uid()], move |tx| tx.invoke(&uid, op))
     }
 
-    /// Invokes a batch of typed operations on one object as one atomic
-    /// action on its owning shard (one object lock, one wire frame, one
-    /// undo snapshot — see [`crate::Handle::invoke_batch`]). Replies come
-    /// back index-aligned.
+    /// Invokes a batch of typed operations on one object as one
+    /// transaction on its owning shard (one object lock, one wire frame,
+    /// one undo snapshot — see [`Tx::invoke_batch`]). Replies come back
+    /// index-aligned.
     ///
     /// # Errors
     ///
@@ -517,32 +499,11 @@ impl ShardedClient<'_> {
         ops: Vec<O::Op>,
     ) -> Result<Vec<O::Reply>, ShardError>
     where
-        O: ObjectType + 'static,
+        O: ObjectType,
         O::Op: Send,
-        O::Reply: Send + 'static,
+        O::Reply: Send,
     {
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        let replicas = self.replicas;
-        self.system.exec(self.shard_of(uid.uid()), move |world| {
-            let client = world.client();
-            let handle = uid.open(client);
-            let action = client.begin_action();
-            if let Err(e) = handle.activate(action, replicas) {
-                client.abort(action);
-                return Err(ShardError::Activate(e));
-            }
-            let replies = match handle.invoke_batch(action, &ops) {
-                Ok(replies) => replies,
-                Err(e) => {
-                    client.abort(action);
-                    return Err(ShardError::Invoke(e));
-                }
-            };
-            client.commit(action).map_err(ShardError::Commit)?;
-            Ok(replies)
-        })
+        self.transact(&[uid.uid()], move |tx| tx.invoke_batch(&uid, &ops))
     }
 
     /// Runs a typed multi-object transaction on the shard owning every

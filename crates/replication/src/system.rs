@@ -1,6 +1,6 @@
 //! The `System` façade: the public API a downstream user programs against.
 
-use crate::error::{ActivateError, CommitError, InvokeError};
+use crate::error::CommitError;
 use crate::invoke::ObjectGroup;
 use crate::object::{ReplicaObject, TypeRegistry};
 use crate::policy::ReplicationPolicy;
@@ -15,10 +15,10 @@ use groupview_core::{
 use groupview_group::{GroupComms, GroupId};
 use groupview_obs::{MetricsSnapshot, NodeLoad, Phase, Registry as ObsRegistry};
 use groupview_sim::wire::{self, WireStats};
-use groupview_sim::{Bytes, ClientId, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
+use groupview_sim::{ClientId, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
 use groupview_store::{ObjectState, Stores, Uid, UidGen, Version};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -54,7 +54,6 @@ pub(crate) struct SystemInner {
     uid_gen: RefCell<UidGen>,
     next_op: Cell<u64>,
     next_client: Cell<u32>,
-    dirty: RefCell<HashSet<(u64, u64)>>,
 }
 
 /// A complete persistent-replicated-object system over a simulated world.
@@ -223,7 +222,6 @@ impl SystemBuilder {
                 uid_gen: RefCell::new(UidGen::new(naming_node)),
                 next_op: Cell::new(1),
                 next_client: Cell::new(0),
-                dirty: RefCell::new(HashSet::new()),
                 sim,
                 stores,
                 tx,
@@ -582,7 +580,6 @@ impl System {
             sys: self.clone(),
             id,
             node,
-            groups: Rc::new(RefCell::new(HashMap::new())),
         }
     }
 
@@ -633,27 +630,6 @@ impl System {
         id
     }
 
-    pub(crate) fn mark_dirty(&self, action: ActionId, uid: Uid) {
-        self.inner
-            .dirty
-            .borrow_mut()
-            .insert((action.raw(), uid.raw()));
-    }
-
-    pub(crate) fn is_dirty(&self, action: ActionId, uid: Uid) -> bool {
-        self.inner
-            .dirty
-            .borrow()
-            .contains(&(action.raw(), uid.raw()))
-    }
-
-    pub(crate) fn clear_dirty(&self, action: ActionId) {
-        self.inner
-            .dirty
-            .borrow_mut()
-            .retain(|&(a, _)| a != action.raw());
-    }
-
     pub(crate) fn bump_replica_versions(&self, group: &ObjectGroup, version: Version) {
         for &(node, pinned) in &group.incarnations {
             if !self.inner.sim.is_up(node) {
@@ -673,15 +649,35 @@ impl System {
 
 /// A client application: runs atomic actions against persistent objects.
 ///
-/// Obtained from [`System::client`]. All methods are deterministic given
-/// the world's seed.
+/// Obtained from [`System::client`]. Every action runs through a [`Tx`]
+/// from [`Client::begin`] (or [`Client::begin_read`]); the client itself
+/// holds no per-action state, so clones are interchangeable. All methods
+/// are deterministic given the world's seed.
+///
+/// ```rust
+/// use groupview_replication::{Counter, CounterOp, System};
+///
+/// let sys = System::builder(7).nodes(5).build();
+/// let nodes = sys.sim().nodes();
+/// let uid = sys
+///     .create_typed(Counter::new(0), &nodes[1..4], &nodes[1..4])
+///     .expect("create");
+/// let client = sys.client(nodes[4]);
+/// let counter = uid.open(&client);
+///
+/// let mut tx = client.begin().with_replicas(2);
+/// assert_eq!(tx.invoke(&counter, CounterOp::Add(10)).expect("invoke"), 10);
+/// tx.commit().expect("commit");
+///
+/// let mut audit = client.begin_read();
+/// assert_eq!(audit.invoke(&counter, CounterOp::Get).expect("read"), 10);
+/// audit.commit().expect("commit");
+/// ```
 #[derive(Clone)]
 pub struct Client {
     sys: System,
     id: ClientId,
     node: NodeId,
-    /// Object groups activated per action, awaiting binding completion.
-    groups: Rc<RefCell<HashMap<u64, Vec<ObjectGroup>>>>,
 }
 
 impl fmt::Debug for Client {
@@ -704,250 +700,63 @@ impl Client {
         self.node
     }
 
-    /// Begins a typed multi-object transaction (see [`Tx`]): each
+    /// Begins a read-write transaction (see [`Tx`]): each
     /// [`Tx::invoke`](crate::Tx::invoke) auto-activates and applies under
     /// one top-level action, [`Tx::commit`](crate::Tx::commit) drives the
     /// store two-phase commit once over the union of touched objects.
     pub fn begin(&self) -> Tx {
-        let action = self.begin_action();
-        let now = self.sys.inner.sim.now().as_micros();
-        self.sys
-            .inner
-            .obs
-            .span(action.raw(), Phase::TxBegin, now, now);
-        Tx::new(self.clone(), action)
+        self.begin_with(true)
     }
 
-    /// Begins a top-level atomic action on the raw surface (thread the
-    /// returned [`ActionId`] through activate/invoke/commit by hand; the
-    /// typed [`Client::begin`] builder wraps exactly this).
-    pub fn begin_action(&self) -> ActionId {
-        self.sys.inner.tx.begin_top(self.node)
+    /// Begins a read-only transaction: every activation is read-only
+    /// (enabling the standard scheme's bind-anywhere optimisation), and a
+    /// write operation is refused with [`InvokeError::ReadOnly`](crate::InvokeError::ReadOnly)
+    /// before it takes any lock.
+    pub fn begin_read(&self) -> Tx {
+        self.begin_with(false)
     }
 
-    /// The system this client belongs to (typed surfaces record spans and
-    /// read the clock through it).
+    fn begin_with(&self, will_write: bool) -> Tx {
+        let inner = &self.sys.inner;
+        let action = inner.tx.begin_top(self.node);
+        let now = inner.sim.now().as_micros();
+        inner.obs.span(action.raw(), Phase::TxBegin, now, now);
+        Tx::new(self.clone(), action, will_write)
+    }
+
+    /// The system this client belongs to.
     pub(crate) fn sys(&self) -> &System {
         &self.sys
     }
 
-    /// Whether `other` shares this client's activation bookkeeping (clones
-    /// of one client do; independently created clients do not).
-    pub(crate) fn shares_groups(&self, other: &Client) -> bool {
-        Rc::ptr_eq(&self.groups, &other.groups)
-    }
-
-    /// The system-wide pooled wire encoder (typed handles encode operations
-    /// through it).
-    pub(crate) fn wire(&self) -> &WireEncoder {
-        &self.sys.inner.wire
-    }
-
-    /// Whether the action with this raw id is still active (typed handles
-    /// use it to prune activations of finished actions).
-    pub(crate) fn action_is_live(&self, raw: u64) -> bool {
-        self.sys.inner.tx.is_active(ActionId::from_raw(raw))
-    }
-
-    /// Opens a typed [`Handle`] for `uid`, asserting it belongs to class
-    /// `O` (see [`TypedUid::assume`] for the trust model; uids from
+    /// A typed [`Handle`] for `uid`, asserting it belongs to class `O`
+    /// (see [`TypedUid::assume`] for the trust model; uids from
     /// [`System::create_typed`] carry their class and can use
     /// [`TypedUid::open`] instead).
     pub fn open<O: ObjectType>(&self, uid: Uid) -> Handle<O> {
-        Handle::new(self.clone(), uid)
+        TypedUid::assume(uid)
     }
+}
 
-    /// Resolves `name` through the directory, activates the object for
-    /// `action`, and returns a typed [`Handle`] with the activation already
-    /// adopted — the typed counterpart of [`Client::activate_by_name`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::activate_by_name`].
-    pub fn open_by_name<O: ObjectType>(
+impl System {
+    /// Commits `action` over the objects it activated: copies every
+    /// modified object's new state to all functioning stores in its `St`
+    /// (excluding the rest), runs two-phase commit, and completes bindings
+    /// per the scheme. On error the action has been aborted.
+    pub(crate) fn commit_action(
         &self,
         action: ActionId,
-        name: &str,
-        replicas: usize,
-    ) -> Result<Handle<O>, ActivateError> {
-        let group = self.activate_by_name(action, name, replicas)?;
-        let handle = self.open::<O>(group.uid);
-        handle.adopt(action, group);
-        Ok(handle)
-    }
-
-    /// Resolves a name through the directory (a nested action of `action`,
-    /// per the paper's lookup-then-bind flow) and activates the object.
-    ///
-    /// # Errors
-    ///
-    /// [`ActivateError::Db`] for unknown names or directory failures, plus
-    /// everything [`Client::activate`] can report.
-    pub fn activate_by_name(
-        &self,
-        action: ActionId,
-        name: &str,
-        replicas: usize,
-    ) -> Result<ObjectGroup, ActivateError> {
-        let nested = self.sys.inner.tx.begin_nested(action);
-        let uid = match self
-            .sys
-            .inner
-            .directory
-            .lookup_from(self.node, nested, name)
-        {
-            Ok(uid) => {
-                self.sys.inner.tx.commit(nested)?;
-                uid
-            }
-            Err(e) => {
-                self.sys.inner.tx.abort(nested);
-                return Err(ActivateError::Db(e));
-            }
-        };
-        self.activate(action, uid, replicas)
-    }
-
-    /// Activates `uid` with up to `replicas` servers for read-write use,
-    /// binding according to the system's scheme and loading passive state
-    /// from the object stores as needed.
-    ///
-    /// # Errors
-    ///
-    /// See [`ActivateError`]; per the paper a failed binding means the
-    /// client action must abort ([`Client::abort`]).
-    pub fn activate(
-        &self,
-        action: ActionId,
-        uid: Uid,
-        replicas: usize,
-    ) -> Result<ObjectGroup, ActivateError> {
-        let group = self
-            .sys
-            .do_activate(action, self.id, self.node, uid, replicas, false)?;
-        self.groups
-            .borrow_mut()
-            .entry(action.raw())
-            .or_default()
-            .push(group.clone());
-        Ok(group)
-    }
-
-    /// Activates `uid` for read-only use (enables the standard scheme's
-    /// bind-anywhere optimisation and, with [`Client::invoke_read`], the
-    /// commit-time no-copy optimisation).
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::activate`].
-    pub fn activate_read_only(
-        &self,
-        action: ActionId,
-        uid: Uid,
-        replicas: usize,
-    ) -> Result<ObjectGroup, ActivateError> {
-        let group = self
-            .sys
-            .do_activate(action, self.id, self.node, uid, replicas, true)?;
-        self.groups
-            .borrow_mut()
-            .entry(action.raw())
-            .or_default()
-            .push(group.clone());
-        Ok(group)
-    }
-
-    /// Invokes a state-changing operation (object write lock).
-    ///
-    /// The reply is a shared [`Bytes`] buffer (usually a zero-copy slice of
-    /// the replica's reply frame); it dereferences to `&[u8]` for decoding.
-    ///
-    /// # Errors
-    ///
-    /// See [`InvokeError`]; on error the action should be aborted.
-    pub fn invoke(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        op: &[u8],
-    ) -> Result<Bytes, InvokeError> {
-        self.sys.do_invoke(action, group, op, true)
-    }
-
-    /// Invokes a read-only operation (object read lock; concurrent readers
-    /// allowed).
-    ///
-    /// # Errors
-    ///
-    /// See [`InvokeError`].
-    pub fn invoke_read(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        op: &[u8],
-    ) -> Result<Bytes, InvokeError> {
-        self.sys.do_invoke(action, group, op, false)
-    }
-
-    /// Invokes a batch of state-changing operations as one replicated
-    /// unit (object write lock, one wire frame, one undo snapshot, one
-    /// write-back at commit). Replies are index-aligned with `ops`; an
-    /// empty batch returns an empty vector without touching the object.
-    ///
-    /// This is the raw escape hatch under [`crate::Handle::invoke_batch`],
-    /// which additionally picks the lock intent from the ops themselves.
-    ///
-    /// # Errors
-    ///
-    /// See [`InvokeError`]; on error the action should be aborted.
-    pub fn invoke_batch(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        ops: &[&[u8]],
-    ) -> Result<Vec<Bytes>, InvokeError> {
-        self.sys.do_invoke_batch(action, group, ops, true)
-    }
-
-    /// Invokes a batch of read-only operations as one replicated unit
-    /// (object read lock; concurrent readers allowed).
-    ///
-    /// # Errors
-    ///
-    /// See [`InvokeError`].
-    pub fn invoke_batch_read(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        ops: &[&[u8]],
-    ) -> Result<Vec<Bytes>, InvokeError> {
-        self.sys.do_invoke_batch(action, group, ops, false)
-    }
-
-    /// Commits the action: copies every modified object's new state to all
-    /// functioning stores in its `St` (excluding the rest), runs two-phase
-    /// commit, and completes bindings per the scheme.
-    ///
-    /// # Errors
-    ///
-    /// On any error the action has been aborted and all its effects undone.
-    pub fn commit(&self, action: ActionId) -> Result<(), CommitError> {
-        let sys = &self.sys;
-        let groups = self
-            .groups
-            .borrow_mut()
-            .remove(&action.raw())
-            .unwrap_or_default();
-
+        groups: &[ObjectGroup],
+    ) -> Result<(), CommitError> {
         // Binding completion and commit-time write-back all send messages
         // on behalf of this action; attribute their trace events to it.
-        sys.sim().with_active_action(action.raw(), || {
+        self.sim().with_active_action(action.raw(), || {
             // Figure 8: Decrement runs as a nested top-level action *inside*
             // the client action. A contended decrement is left to the cleanup
             // daemon rather than failing the commit.
-            if sys.scheme() == BindingScheme::NestedTopLevel {
-                for g in &groups {
-                    let _ = sys.inner.binder.complete(Some(action), &g.req, &g.binding);
+            if self.scheme() == BindingScheme::NestedTopLevel {
+                for g in groups {
+                    let _ = self.inner.binder.complete(Some(action), &g.req, &g.binding);
                 }
             }
 
@@ -955,84 +764,54 @@ impl Client {
             // one staging pass over the union of touched objects, so every
             // store receives a multi-object transaction's full write-set
             // under its single transaction token.
-            let mut committed_versions: Vec<(usize, Version)> = Vec::new();
-            let dirty_indices: Vec<usize> = (0..groups.len())
-                .filter(|&i| sys.is_dirty(action, groups[i].uid))
-                .collect();
-            if !dirty_indices.is_empty() {
-                let dirty_groups: Vec<&ObjectGroup> =
-                    dirty_indices.iter().map(|&i| &groups[i]).collect();
-                match sys.do_writeback(action, &dirty_groups) {
-                    Ok(versions) => {
-                        committed_versions = dirty_indices.into_iter().zip(versions).collect();
-                    }
+            let dirty: Vec<&ObjectGroup> = groups.iter().filter(|g| g.dirty).collect();
+            let mut versions = Vec::new();
+            if !dirty.is_empty() {
+                match self.do_writeback(action, &dirty) {
+                    Ok(v) => versions = v,
                     Err(e) => {
-                        sys.inner.tx.abort(action);
-                        self.finish_bindings(&groups);
-                        sys.clear_dirty(action);
+                        self.inner.tx.abort(action);
+                        self.finish_bindings(groups);
                         return Err(e);
                     }
                 }
             }
 
-            match sys.inner.tx.commit(action) {
+            match self.inner.tx.commit(action) {
                 Ok(()) => {
-                    for (i, version) in committed_versions {
-                        sys.bump_replica_versions(&groups[i], version);
+                    for (g, version) in dirty.into_iter().zip(versions) {
+                        self.bump_replica_versions(g, version);
                     }
-                    if sys.scheme() == BindingScheme::IndependentTopLevel {
-                        self.finish_bindings(&groups);
+                    if self.scheme() == BindingScheme::IndependentTopLevel {
+                        self.finish_bindings(groups);
                     }
-                    sys.clear_dirty(action);
                     Ok(())
                 }
                 Err(e) => {
-                    self.finish_bindings(&groups);
-                    sys.clear_dirty(action);
+                    self.finish_bindings(groups);
                     Err(CommitError::Tx(e))
                 }
             }
         })
     }
 
-    /// Aborts the action, undoing all its effects, and completes any
-    /// registered bindings (the Decrement of Figures 7/8).
-    pub fn abort(&self, action: ActionId) {
-        let groups = self
-            .groups
-            .borrow_mut()
-            .remove(&action.raw())
-            .unwrap_or_default();
-        self.sys.inner.tx.abort(action);
-        self.finish_bindings(&groups);
-        self.sys.clear_dirty(action);
-    }
-
-    /// Simulates this client crashing mid-action: the action is aborted by
-    /// the system (its node noticed the broken binding) but **no binding
-    /// completion runs** — use lists stay incremented until the cleanup
-    /// daemon reclaims them. Returns the leaked group count.
-    pub fn crash_without_cleanup(&self, action: ActionId) -> usize {
-        let groups = self
-            .groups
-            .borrow_mut()
-            .remove(&action.raw())
-            .unwrap_or_default();
-        self.sys.inner.tx.abort(action);
-        self.sys.clear_dirty(action);
-        groups.iter().filter(|g| g.binding.registered).count()
+    /// Aborts `action`, undoing all its effects, and completes the
+    /// bindings of the objects it activated (the Decrement of Figures 7/8).
+    pub(crate) fn abort_action(&self, action: ActionId, groups: &[ObjectGroup]) {
+        self.inner.tx.abort(action);
+        self.finish_bindings(groups);
     }
 
     /// Best-effort binding completion for the independent scheme (and as a
     /// fallback for nested-top-level after the action ended).
     fn finish_bindings(&self, groups: &[ObjectGroup]) {
-        if self.sys.scheme() == BindingScheme::NestedTopLevel {
+        if self.scheme() == BindingScheme::NestedTopLevel {
             // Already completed inside the action (or deliberately leaked).
             return;
         }
         for g in groups {
             if g.binding.registered {
-                let _ = self.sys.inner.binder.complete(None, &g.req, &g.binding);
+                let _ = self.inner.binder.complete(None, &g.req, &g.binding);
             }
         }
     }

@@ -1,13 +1,12 @@
 //! The typed multi-object transaction surface: [`Tx`].
 //!
 //! The paper's central abstraction is the atomic action that touches
-//! *several* persistent replicated objects; the raw surface exposes it as
-//! an [`ActionId`] threaded by hand through activate/invoke/commit calls.
-//! [`Tx`] packages that thread: [`Client::begin`] opens a top-level action
-//! and returns a builder, each [`Tx::invoke`] auto-activates the object on
-//! first touch and applies a typed operation under the *same* action (all
-//! three replication policies), and [`Tx::commit`] drives the existing
-//! store two-phase commit once over the union of touched objects:
+//! *several* persistent replicated objects, and [`Tx`] is the only way a
+//! client runs one: [`Client::begin`] opens a top-level action and returns
+//! a builder, each [`Tx::invoke`] auto-activates the object on first touch
+//! and applies a typed operation under the *same* action (all three
+//! replication policies), and [`Tx::commit`] drives the store two-phase
+//! commit once over the union of touched objects:
 //!
 //! ```rust
 //! use groupview_replication::{Account, AccountOp, System};
@@ -25,17 +24,23 @@
 //! tx.commit().unwrap();
 //! ```
 //!
-//! Abort (explicit [`Tx::abort`], an error return, or just dropping the
-//! builder) replays the action's undo-log arena in reverse, restoring every
-//! touched object to its pre-transaction state. A one-object `Tx` is
-//! bit-for-bit identical to the manual `begin_action`/`activate`/`invoke`
-//! path — pinned by `tests/typed_properties.rs`.
+//! The `Tx` is the single owner of its action's activations: the bound
+//! [`ObjectGroup`] of every touched object lives in the builder, and commit
+//! or abort consumes them, so nothing about an action outlives it. Abort
+//! (explicit [`Tx::abort`], an error return, or just dropping the builder)
+//! replays the action's undo-log arena in reverse, restoring every touched
+//! object to its pre-transaction state. [`Client::begin_read`] opens a
+//! read-only transaction (every activation read-only, write operations
+//! refused). A one-object `Tx` reproduces the retired manual action path
+//! bit for bit — pinned by `tests/tx_surface.rs`.
 
 use crate::error::{ActivateError, CommitError, InvokeError};
+use crate::invoke::ObjectGroup;
 use crate::system::Client;
 use crate::typed::{Handle, ObjectType};
 use groupview_actions::ActionId;
 use groupview_obs::Phase;
+use groupview_store::Uid;
 use std::error::Error;
 use std::fmt;
 
@@ -93,19 +98,24 @@ impl From<InvokeError> for TxOpError {
 }
 
 /// A typed multi-object transaction in progress. Obtained from
-/// [`Client::begin`]; see the [module docs](self) for the lifecycle.
+/// [`Client::begin`] or [`Client::begin_read`]; see the
+/// [module docs](self) for the lifecycle.
 ///
-/// The builder owns its top-level [`ActionId`]. Consuming methods
-/// ([`Tx::commit`], [`Tx::abort`]) finish the action; dropping an
-/// unfinished `Tx` aborts it, so an early `?` return can never leak locks.
+/// The builder owns its top-level [`ActionId`] and the groups it activated.
+/// Consuming methods ([`Tx::commit`], [`Tx::abort`], [`Tx::crash`]) finish
+/// the action; dropping an unfinished `Tx` aborts it, so an early `?`
+/// return can never leak locks.
 pub struct Tx {
     client: Client,
     action: ActionId,
-    /// Server cap for auto-activations (default: all functioning servers).
+    /// Server cap for activations (default: all functioning servers).
     replicas: usize,
-    /// Objects auto-activated so far (raw uids; transactions touch a
-    /// handful of objects, so a scan beats a map).
-    activated: Vec<u64>,
+    /// `false` for a [`Client::begin_read`] transaction: activations are
+    /// read-only and write operations are refused.
+    will_write: bool,
+    /// The objects activated so far, in activation order (transactions
+    /// touch a handful of objects, so a scan beats a map).
+    groups: Vec<ObjectGroup>,
     done: bool,
 }
 
@@ -113,79 +123,142 @@ impl fmt::Debug for Tx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tx")
             .field("action", &self.action)
-            .field("objects", &self.activated.len())
+            .field("will_write", &self.will_write)
+            .field("objects", &self.groups.len())
             .finish()
     }
 }
 
 impl Tx {
-    pub(crate) fn new(client: Client, action: ActionId) -> Self {
+    pub(crate) fn new(client: Client, action: ActionId, will_write: bool) -> Self {
         Tx {
             client,
             action,
             replicas: usize::MAX,
-            activated: Vec::new(),
+            will_write,
+            groups: Vec::new(),
             done: false,
         }
     }
 
-    /// Caps auto-activations at `n` server replicas per object (the default
+    /// Caps activations at `n` server replicas per object (the default
     /// binds all functioning servers, the paper's §3.2 rule).
     pub fn with_replicas(mut self, n: usize) -> Self {
         self.replicas = n;
         self
     }
 
-    /// The underlying action id — the escape hatch for mixing raw-surface
-    /// calls (named activation, batches) into this transaction.
+    /// The underlying action id (history records and traces key on it).
     pub fn action(&self) -> ActionId {
         self.action
     }
 
-    /// The client this transaction runs on (open handles against it).
+    /// The client this transaction runs on.
     pub fn client(&self) -> &Client {
         &self.client
     }
 
-    /// Number of objects this transaction has activated so far.
-    pub fn object_count(&self) -> usize {
-        self.activated.len()
+    /// Activates the object behind `handle` without invoking it (a no-op
+    /// if this transaction already did), and returns the bound group: its
+    /// servers, `St` view and [`Binding`](groupview_core::Binding)
+    /// statistics. The activation — and the read lock on the object's `St`
+    /// entry — is held until the transaction ends.
+    ///
+    /// # Errors
+    ///
+    /// See [`ActivateError`]; per the paper a failed binding means the
+    /// transaction must abort.
+    pub fn bind<O: ObjectType>(
+        &mut self,
+        handle: &Handle<O>,
+    ) -> Result<&ObjectGroup, ActivateError> {
+        let i = self.activated(handle.uid())?;
+        Ok(&self.groups[i])
+    }
+
+    /// Resolves `name` through the directory (a nested action of this
+    /// transaction, per the paper's lookup-then-bind flow), activates the
+    /// object, and returns a typed handle for it.
+    ///
+    /// # Errors
+    ///
+    /// [`ActivateError::Db`] for unknown names or directory failures, plus
+    /// everything [`Tx::bind`] can report.
+    pub fn bind_by_name<O: ObjectType>(&mut self, name: &str) -> Result<Handle<O>, ActivateError> {
+        let inner = &self.client.sys().inner;
+        let nested = inner.tx.begin_nested(self.action);
+        let uid = match inner
+            .directory
+            .lookup_from(self.client.node(), nested, name)
+        {
+            Ok(uid) => {
+                inner.tx.commit(nested)?;
+                uid
+            }
+            Err(e) => {
+                inner.tx.abort(nested);
+                return Err(ActivateError::Db(e));
+            }
+        };
+        self.activated(uid)?;
+        Ok(self.client.open(uid))
+    }
+
+    /// The index of `uid`'s group, activating it on first touch.
+    fn activated(&mut self, uid: Uid) -> Result<usize, ActivateError> {
+        if let Some(i) = self.groups.iter().position(|g| g.uid == uid) {
+            return Ok(i);
+        }
+        let client = &self.client;
+        let group = client.sys().do_activate(
+            self.action,
+            client.id(),
+            client.node(),
+            uid,
+            self.replicas,
+            !self.will_write,
+        )?;
+        self.groups.push(group);
+        Ok(self.groups.len() - 1)
+    }
+
+    /// Refuses a write in a read-only transaction, before any lock.
+    fn check_intent(&self, uid: Uid, write: bool) -> Result<(), InvokeError> {
+        if write && !self.will_write {
+            return Err(InvokeError::ReadOnly(uid));
+        }
+        Ok(())
     }
 
     /// Invokes a typed operation under this transaction, activating the
     /// object first if this is its first touch. The read/write lock intent
-    /// is inferred from the operation; every object is activated
-    /// read-write, since a later op in the same transaction may write it.
+    /// is inferred from the operation; in a read-write transaction every
+    /// object is activated read-write, since a later op may write it.
     ///
     /// # Errors
     ///
-    /// See [`TxOpError`]. On error the transaction should be dropped or
-    /// aborted; committing after a failed invoke is allowed only if the
-    /// caller knows the failure left no partial effect (e.g. a refused
-    /// lock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` was opened on a different client — transactions
-    /// and their handles must share one client's activation bookkeeping, or
-    /// commit-time write-back would miss the object.
+    /// See [`TxOpError`]; a write operation in a [`Client::begin_read`]
+    /// transaction is [`InvokeError::ReadOnly`], and a reply that does not
+    /// decode as an `O::Reply` is [`InvokeError::MalformedReply`]. On error
+    /// the transaction should be dropped or aborted; committing after a
+    /// failed invoke is allowed only if the caller knows the failure left
+    /// no partial effect (e.g. a refused lock).
     pub fn invoke<O: ObjectType>(
         &mut self,
         handle: &Handle<O>,
         op: O::Op,
     ) -> Result<O::Reply, TxOpError> {
-        assert!(
-            self.client.shares_groups(handle.client()),
-            "handle for {} belongs to a different client than this transaction",
-            handle.uid()
-        );
+        let uid = handle.uid();
+        let write = !O::op_is_read_only(&op);
+        self.check_intent(uid, write)?;
+        let start = self.client.sys().sim().now().as_micros();
+        let i = self.activated(uid)?;
         let sys = self.client.sys();
-        let start = sys.sim().now().as_micros();
-        if !self.activated.contains(&handle.uid().raw()) {
-            handle.activate(self.action, self.replicas)?;
-            self.activated.push(handle.uid().raw());
-        }
-        let reply = handle.invoke(self.action, op)?;
+        // One pooled frame for the encoded op; released back to the pool
+        // when the invocation finishes.
+        let frame = sys.inner.wire.encode_with(|buf| O::encode_op(&op, buf));
+        let reply = sys.do_invoke(self.action, &mut self.groups[i], &frame, write)?;
+        let reply = O::decode_reply(&op, &reply).ok_or(InvokeError::MalformedReply(uid))?;
         sys.obs().span(
             self.action.raw(),
             Phase::TxInvoke,
@@ -193,6 +266,49 @@ impl Tx {
             sys.sim().now().as_micros(),
         );
         Ok(reply)
+    }
+
+    /// Invokes a batch of typed operations on one object as **one**
+    /// replicated unit under this transaction: one object lock, one wire
+    /// frame, one undo snapshot, and one commit-time write-back for the
+    /// whole batch. Replies come back index-aligned with `ops`.
+    ///
+    /// The lock intent is the **strongest** across the batch: a batch is
+    /// read-only (concurrent readers allowed, commit-time state copy
+    /// skipped) only when *every* op in it is read-only. An empty batch
+    /// returns `Ok(vec![])` without touching the object.
+    ///
+    /// # Errors
+    ///
+    /// See [`Tx::invoke`]; an error leaves none of the batch's effects
+    /// visible once the transaction aborts (the batch undoes as one unit).
+    pub fn invoke_batch<O: ObjectType>(
+        &mut self,
+        handle: &Handle<O>,
+        ops: &[O::Op],
+    ) -> Result<Vec<O::Reply>, TxOpError> {
+        if ops.is_empty() {
+            return Ok(Vec::new());
+        }
+        let uid = handle.uid();
+        let write = !ops.iter().all(O::op_is_read_only);
+        self.check_intent(uid, write)?;
+        let i = self.activated(uid)?;
+        let sys = self.client.sys();
+        // One pooled frame per op; all released when the batch finishes.
+        let frames: Vec<_> = ops
+            .iter()
+            .map(|op| sys.inner.wire.encode_with(|buf| O::encode_op(op, buf)))
+            .collect();
+        let frame_refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
+        let replies = sys.do_invoke_batch(self.action, &mut self.groups[i], &frame_refs, write)?;
+        ops.iter()
+            .zip(&replies)
+            .map(|(op, reply)| {
+                O::decode_reply(op, reply)
+                    .ok_or(TxOpError::Invoke(InvokeError::MalformedReply(uid)))
+            })
+            .collect()
     }
 
     /// Commits the transaction: one store two-phase commit over the union
@@ -204,9 +320,9 @@ impl Tx {
     /// touched object restored.
     pub fn commit(mut self) -> Result<(), CommitError> {
         self.done = true;
-        let sys = self.client.sys().clone();
+        let sys = self.client.sys();
         let start = sys.sim().now().as_micros();
-        let result = self.client.commit(self.action);
+        let result = sys.commit_action(self.action, &self.groups);
         sys.obs().span(
             self.action.raw(),
             Phase::TxCommit,
@@ -217,28 +333,28 @@ impl Tx {
     }
 
     /// Aborts the transaction, restoring every touched object (the undo
-    /// arena replays in reverse).
+    /// arena replays in reverse) and completing its bindings.
     pub fn abort(mut self) {
         self.done = true;
-        self.client.abort(self.action);
+        self.client.sys().abort_action(self.action, &self.groups);
     }
 
-    /// Relinquishes the transaction **without** finishing it: returns the
-    /// action id and disarms the drop-abort. This models a client crash —
-    /// the action's locks and bindings stay behind exactly as a dying
-    /// process would leave them, for [`Client::crash_without_cleanup`] and
-    /// the cleanup machinery to account for. Not an API for normal flows;
-    /// prefer [`Tx::abort`].
-    pub fn leak(mut self) -> ActionId {
+    /// Simulates the client crashing mid-transaction: the action is
+    /// aborted by the system (its node noticed the broken binding) but
+    /// **no binding completion runs** — use lists stay incremented until
+    /// the cleanup daemon reclaims them. Returns the number of leaked
+    /// (registered) bindings.
+    pub fn crash(mut self) -> usize {
         self.done = true;
-        self.action
+        self.client.sys().inner.tx.abort(self.action);
+        self.groups.iter().filter(|g| g.binding.registered).count()
     }
 }
 
 impl Drop for Tx {
     fn drop(&mut self) {
         if !self.done {
-            self.client.abort(self.action);
+            self.client.sys().abort_action(self.action, &self.groups);
         }
     }
 }

@@ -1,9 +1,8 @@
-//! The typed object API: `ObjectType` classes and `Handle<O>` clients.
+//! The typed object API: `ObjectType` classes and `Handle<O>` object references.
 //!
 //! The paper's model is *typed* persistent objects — counters, accounts,
-//! directories — invoked through atomic actions, yet the byte-level client
-//! surface ([`Client::invoke`]) asks every call site to encode operations
-//! and decode replies by hand. This module closes that gap in two pieces:
+//! directories — invoked through atomic actions. This module gives the
+//! transaction surface its types in two pieces:
 //!
 //! * [`ObjectType`] extends [`ReplicaObject`] with the *class-level* codec
 //!   contract: an `Op` type, a `Reply` type, and encode/decode functions
@@ -11,27 +10,19 @@
 //!   [`Account`]) implement it, and the scenario engine's oracle and
 //!   workload generators dispatch through it instead of keeping parallel
 //!   per-class match arms.
-//! * [`Handle`]`<O>` is a typed client surface for one object:
-//!   `handle.invoke(action, CounterOp::Add(10))? -> i64`, with the
+//! * [`Handle`]`<O>` names one object of class `O` for the transaction
+//!   surface: `tx.invoke(&handle, CounterOp::Add(10))? -> i64`, with the
 //!   read/write lock intent inferred from the operation
 //!   ([`ObjectType::op_is_read_only`]) and the operation encoded into a
 //!   pooled wire frame (no caller-side `Vec<u8>` per call).
 //!
-//! The raw-bytes [`Client::invoke`]/[`Client::invoke_read`] surface stays
-//! available as an escape hatch for workloads that record or replay
-//! encoded histories. See `docs/OBJECTS.md` for the full design.
+//! See `docs/OBJECTS.md` for the full design.
 
-use crate::error::{ActivateError, InvokeError};
-use crate::invoke::ObjectGroup;
 use crate::object::{Account, AccountOp, Counter, CounterOp, KvMap, KvOp, ReplicaObject};
 use crate::system::Client;
-use groupview_actions::ActionId;
 use groupview_store::{TypeTag, Uid};
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
-use std::rc::Rc;
 
 /// A persistent object class: the replica behaviour of [`ReplicaObject`]
 /// plus the typed operation/reply codec contract client surfaces need.
@@ -351,8 +342,8 @@ pub struct TypedUid<O: ObjectType> {
 impl<O: ObjectType> TypedUid<O> {
     /// Asserts (unchecked) that `uid` names an object of class `O` — the
     /// escape hatch for uids recovered from directories or specs. A wrong
-    /// assertion surfaces as garbled typed replies, exactly like the raw
-    /// byte surface would.
+    /// assertion surfaces as garbled typed replies (or
+    /// [`InvokeError::MalformedReply`](crate::InvokeError::MalformedReply)).
     pub fn assume(uid: Uid) -> Self {
         TypedUid {
             uid,
@@ -365,9 +356,9 @@ impl<O: ObjectType> TypedUid<O> {
         self.uid
     }
 
-    /// Opens a typed handle for this object on `client`.
+    /// A typed handle for this object, for transactions on `client`.
     pub fn open(&self, client: &Client) -> Handle<O> {
-        client.open::<O>(self.uid)
+        client.open(self.uid)
     }
 }
 
@@ -397,12 +388,13 @@ impl<O: ObjectType> From<TypedUid<O>> for Uid {
     }
 }
 
-/// A typed client surface for one persistent object.
+/// A typed reference to one persistent object, as transactions take it:
+/// `tx.invoke(&handle, CounterOp::Add(10))? -> i64`.
 ///
-/// Obtained from [`Client::open`] (or [`TypedUid::open`]); one handle can
-/// serve any number of sequential actions. Per action, [`Handle::activate`]
-/// (or [`Handle::activate_read_only`]) binds the object, then
-/// [`Handle::invoke`] runs typed operations:
+/// A handle is only the object's uid and class — it is a [`TypedUid`] —
+/// so it holds no client or per-action state, costs nothing to keep, and
+/// any [`Tx`](crate::Tx) of the system accepts it. Obtain one from
+/// [`Client::open`] or [`TypedUid::open`]:
 ///
 /// ```rust
 /// use groupview_replication::{Counter, CounterOp, System};
@@ -415,198 +407,14 @@ impl<O: ObjectType> From<TypedUid<O>> for Uid {
 /// let client = sys.client(nodes[4]);
 /// let counter = uid.open(&client);
 ///
-/// let action = client.begin_action();
-/// counter.activate(action, 2).expect("activate");
-/// let value = counter.invoke(action, CounterOp::Add(10)).expect("invoke");
-/// assert_eq!(value, 10);
-/// client.commit(action).expect("commit");
+/// let mut tx = client.begin().with_replicas(2);
+/// assert_eq!(tx.invoke(&counter, CounterOp::Add(10)).expect("invoke"), 10);
+/// tx.commit().expect("commit");
 /// ```
 ///
 /// The lock intent (read vs write) is inferred from the operation, and the
-/// operation is encoded straight into a pooled wire frame — typed calls
-/// allocate *less* than the raw byte surface, not more.
-pub struct Handle<O: ObjectType> {
-    client: Client,
-    uid: Uid,
-    /// The activated group per in-flight action (keyed by raw action id);
-    /// refcounted so the per-invoke lookup is a pointer bump, not a clone
-    /// of the group's server/store/incarnation vectors.
-    groups: RefCell<HashMap<u64, Rc<ObjectGroup>>>,
-    _class: PhantomData<O>,
-}
-
-impl<O: ObjectType> fmt::Debug for Handle<O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Handle")
-            .field("uid", &self.uid)
-            .field("client", &self.client)
-            .finish()
-    }
-}
-
-impl<O: ObjectType> Handle<O> {
-    pub(crate) fn new(client: Client, uid: Uid) -> Self {
-        Handle {
-            client,
-            uid,
-            groups: RefCell::new(HashMap::new()),
-            _class: PhantomData,
-        }
-    }
-
-    /// The object this handle serves.
-    pub fn uid(&self) -> Uid {
-        self.uid
-    }
-
-    /// The client this handle invokes through.
-    pub fn client(&self) -> &Client {
-        &self.client
-    }
-
-    /// Activates the object for `action` with up to `replicas` servers
-    /// (read-write). Returns the bound group for inspection; the handle
-    /// also remembers it for [`Handle::invoke`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::activate`]; on error the action should be aborted.
-    pub fn activate(
-        &self,
-        action: ActionId,
-        replicas: usize,
-    ) -> Result<ObjectGroup, ActivateError> {
-        let group = self.client.activate(action, self.uid, replicas)?;
-        self.groups
-            .borrow_mut()
-            .insert(action.raw(), Rc::new(group.clone()));
-        Ok(group)
-    }
-
-    /// Activates the object for `action` read-only (enables the
-    /// bind-anywhere and commit-time no-copy optimisations).
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::activate_read_only`].
-    pub fn activate_read_only(
-        &self,
-        action: ActionId,
-        replicas: usize,
-    ) -> Result<ObjectGroup, ActivateError> {
-        let group = self.client.activate_read_only(action, self.uid, replicas)?;
-        self.groups
-            .borrow_mut()
-            .insert(action.raw(), Rc::new(group.clone()));
-        Ok(group)
-    }
-
-    /// Adopts an already-activated `group` (e.g. from
-    /// [`Client::activate_by_name`]) so typed invokes can run against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group belongs to a different object.
-    pub fn adopt(&self, action: ActionId, group: ObjectGroup) {
-        assert_eq!(group.uid, self.uid, "group belongs to a different object");
-        self.remember(action, group);
-    }
-
-    /// Records an activation, first dropping entries whose actions have
-    /// finished — committed or aborted actions can never be invoked again
-    /// (ids are monotone, never reused), so this keeps the handle's map
-    /// bounded by the client's live actions.
-    fn remember(&self, action: ActionId, group: ObjectGroup) {
-        let mut groups = self.groups.borrow_mut();
-        groups.retain(|&raw, _| self.client.action_is_live(raw));
-        groups.insert(action.raw(), Rc::new(group));
-    }
-
-    /// Invokes a typed operation on behalf of `action`, choosing the
-    /// read/write lock intent from the operation itself, and decodes the
-    /// typed reply.
-    ///
-    /// # Errors
-    ///
-    /// See [`InvokeError`]; additionally
-    /// [`InvokeError::MalformedReply`] when the reply bytes do not decode
-    /// as an `O::Reply` (a class contract violation). Invoking without a
-    /// prior [`Handle::activate`] for this action reports
-    /// [`InvokeError::NotActivated`].
-    pub fn invoke(&self, action: ActionId, op: O::Op) -> Result<O::Reply, InvokeError> {
-        let group = self
-            .groups
-            .borrow()
-            .get(&action.raw())
-            .cloned()
-            .ok_or(InvokeError::NotActivated(self.uid))?;
-        // One pooled frame for the encoded op; released back to the pool
-        // when the invocation finishes.
-        let op_frame = self.client.wire().encode_with(|buf| O::encode_op(&op, buf));
-        let reply = if O::op_is_read_only(&op) {
-            self.client.invoke_read(action, &group, &op_frame)?
-        } else {
-            self.client.invoke(action, &group, &op_frame)?
-        };
-        O::decode_reply(&op, &reply).ok_or(InvokeError::MalformedReply(self.uid))
-    }
-
-    /// Invokes a batch of typed operations as **one** replicated unit on
-    /// behalf of `action`: one object lock, one wire frame, one undo
-    /// snapshot, and one commit-time write-back for the whole batch.
-    /// Replies come back index-aligned with `ops`.
-    ///
-    /// The lock intent is the **strongest** across the batch: a batch is
-    /// read-only (concurrent readers allowed, commit-time state copy
-    /// skipped) only when *every* op in it is read-only — one write op
-    /// upgrades the whole batch to a write lock. An empty batch returns
-    /// `Ok(vec![])` without touching the object.
-    ///
-    /// # Errors
-    ///
-    /// See [`Handle::invoke`]; an error leaves none of the batch's effects
-    /// visible once the action aborts (the batch undoes as one unit).
-    pub fn invoke_batch(
-        &self,
-        action: ActionId,
-        ops: &[O::Op],
-    ) -> Result<Vec<O::Reply>, InvokeError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        let group = self
-            .groups
-            .borrow()
-            .get(&action.raw())
-            .cloned()
-            .ok_or(InvokeError::NotActivated(self.uid))?;
-        let write = !ops.iter().all(O::op_is_read_only);
-        // One pooled frame per op; all released when the batch finishes.
-        let frames: Vec<_> = ops
-            .iter()
-            .map(|op| self.client.wire().encode_with(|buf| O::encode_op(op, buf)))
-            .collect();
-        let frame_refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let replies = if write {
-            self.client.invoke_batch(action, &group, &frame_refs)?
-        } else {
-            self.client.invoke_batch_read(action, &group, &frame_refs)?
-        };
-        ops.iter()
-            .zip(&replies)
-            .map(|(op, reply)| {
-                O::decode_reply(op, reply).ok_or(InvokeError::MalformedReply(self.uid))
-            })
-            .collect()
-    }
-
-    /// Drops the remembered group for an action immediately (optional:
-    /// finished actions' entries are pruned automatically at the next
-    /// activation; this frees the group's refcount right away).
-    pub fn forget(&self, action: ActionId) {
-        self.groups.borrow_mut().remove(&action.raw());
-    }
-}
+/// operation is encoded straight into a pooled wire frame.
+pub type Handle<O> = TypedUid<O>;
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,8 @@
 
 use groupview_core::{BindingScheme, ExcludePolicy};
 use groupview_replication::{
-    Account, AccountOp, Counter, CounterOp, InvokeError, ReplicationPolicy, System,
+    Account, AccountOp, Counter, CounterOp, InvokeError, ReplicationPolicy, System, TxOpError,
+    TypedUid,
 };
 use groupview_sim::NodeId;
 use groupview_store::Version;
@@ -20,24 +21,20 @@ fn system(policy: ReplicationPolicy, scheme: BindingScheme) -> System {
         .build()
 }
 
-fn create_counter(sys: &System, value: i64) -> groupview_store::Uid {
-    sys.create_object(
-        Box::new(Counter::new(value)),
+fn create_counter(sys: &System, value: i64) -> TypedUid<Counter> {
+    sys.create_typed(
+        Counter::new(value),
         &[n(1), n(2), n(3)],
         &[n(1), n(2), n(3)],
     )
     .expect("create object")
 }
 
-fn counter_value(sys: &System, uid: groupview_store::Uid, client_node: NodeId) -> i64 {
-    let client = sys.client(client_node);
-    let a = client.begin_action();
-    let g = client.activate_read_only(a, uid, 1).expect("activate ro");
-    let reply = client
-        .invoke_read(a, &g, &CounterOp::Get.encode())
-        .expect("read");
-    client.commit(a).expect("commit read");
-    CounterOp::decode_reply(&reply).expect("reply")
+fn counter_value(sys: &System, uid: TypedUid<Counter>, client_node: NodeId) -> i64 {
+    let mut tx = sys.client(client_node).begin_read().with_replicas(1);
+    let value = tx.invoke(&uid, CounterOp::Get).expect("read");
+    tx.commit().expect("commit read");
+    value
 }
 
 #[test]
@@ -45,17 +42,13 @@ fn full_cycle_all_policies() {
     for policy in ReplicationPolicy::ALL {
         let sys = system(policy, BindingScheme::Standard);
         let uid = create_counter(&sys, 100);
-        let client = sys.client(n(4));
-        let a = client.begin_action();
-        let g = client.activate(a, uid, 2).expect("activate");
-        let r = client
-            .invoke(a, &g, &CounterOp::Add(11).encode())
-            .expect("invoke");
-        assert_eq!(CounterOp::decode_reply(&r), Some(111), "policy {policy}");
-        client.commit(a).expect("commit");
+        let mut tx = sys.client(n(4)).begin().with_replicas(2);
+        let r = tx.invoke(&uid, CounterOp::Add(11)).expect("invoke");
+        assert_eq!(r, 111, "policy {policy}");
+        tx.commit().expect("commit");
         // All three stores hold the committed v1 state.
         for store in [n(1), n(2), n(3)] {
-            let state = sys.stores().read_local(store, uid).expect("stored");
+            let state = sys.stores().read_local(store, uid.uid()).expect("stored");
             assert_eq!(state.version, Version::new(1), "policy {policy}");
             assert_eq!(Counter::decode(&state.data).value(), 111);
         }
@@ -67,16 +60,12 @@ fn full_cycle_all_policies() {
 fn abort_undoes_replica_state_and_stores() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
     let uid = create_counter(&sys, 50);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 2).expect("activate");
-    client
-        .invoke(a, &g, &CounterOp::Add(999).encode())
-        .expect("invoke");
-    client.abort(a);
+    let mut tx = sys.client(n(4)).begin().with_replicas(2);
+    tx.invoke(&uid, CounterOp::Add(999)).expect("invoke");
+    tx.abort();
     // Replica in-memory state restored; stores untouched.
     assert_eq!(counter_value(&sys, uid, n(5)), 50);
-    let state = sys.stores().read_local(n(1), uid).expect("stored");
+    let state = sys.stores().read_local(n(1), uid.uid()).expect("stored");
     assert_eq!(state.version, Version::INITIAL);
     assert!(sys.tx().locks_empty(), "no stray locks after abort");
 }
@@ -85,18 +74,12 @@ fn abort_undoes_replica_state_and_stores() {
 fn active_replication_masks_server_crash_mid_action() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
     let uid = create_counter(&sys, 0);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 3).expect("activate");
-    client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
-        .expect("op1");
+    let mut tx = sys.client(n(4)).begin().with_replicas(3);
+    tx.invoke(&uid, CounterOp::Add(1)).expect("op1");
     // One replica dies; the group masks it.
     sys.sim().crash(n(2));
-    client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
-        .expect("op2");
-    client.commit(a).expect("commit despite replica crash");
+    tx.invoke(&uid, CounterOp::Add(1)).expect("op2");
+    tx.commit().expect("commit despite replica crash");
     assert_eq!(counter_value(&sys, uid, n(5)), 2);
 }
 
@@ -107,20 +90,16 @@ fn coordinator_cohort_failover_mid_action() {
         BindingScheme::Standard,
     );
     let uid = create_counter(&sys, 0);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 3).expect("activate");
-    client
-        .invoke(a, &g, &CounterOp::Add(5).encode())
-        .expect("op1");
+    let mut tx = sys.client(n(4)).begin().with_replicas(3);
+    tx.invoke(&uid, CounterOp::Add(5)).expect("op1");
     // The coordinator (lowest-id live loaded = n1) fails; a cohort that
     // received the checkpoint takes over transparently.
     sys.sim().crash(n(1));
-    let r = client
-        .invoke(a, &g, &CounterOp::Add(5).encode())
+    let r = tx
+        .invoke(&uid, CounterOp::Add(5))
         .expect("op2 after failover");
-    assert_eq!(CounterOp::decode_reply(&r), Some(10));
-    client.commit(a).expect("commit");
+    assert_eq!(r, 10);
+    tx.commit().expect("commit");
     assert_eq!(counter_value(&sys, uid, n(5)), 10);
 }
 
@@ -131,23 +110,16 @@ fn single_copy_passive_crash_aborts_action() {
         BindingScheme::Standard,
     );
     let uid = create_counter(&sys, 7);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 3).expect("activate");
-    assert_eq!(
-        g.servers.len(),
-        1,
-        "single copy policy activates one server"
-    );
-    client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
-        .expect("op1");
-    sys.sim().crash(g.servers[0]);
-    let err = client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
+    let mut tx = sys.client(n(4)).begin().with_replicas(3);
+    let servers = tx.bind(&uid).expect("activate").servers.clone();
+    assert_eq!(servers.len(), 1, "single copy policy activates one server");
+    tx.invoke(&uid, CounterOp::Add(1)).expect("op1");
+    sys.sim().crash(servers[0]);
+    let err = tx
+        .invoke(&uid, CounterOp::Add(1))
         .expect_err("server crashed");
-    assert_eq!(err, InvokeError::ServerFailed(uid));
-    client.abort(a);
+    assert_eq!(err, TxOpError::Invoke(InvokeError::ServerFailed(uid.uid())));
+    tx.abort();
     // Restart: a fresh activation succeeds on another server node and sees
     // only committed state.
     assert_eq!(counter_value(&sys, uid, n(5)), 7);
@@ -158,29 +130,32 @@ fn commit_excludes_crashed_store_and_later_recovery_reincludes() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
     let uid = create_counter(&sys, 0);
     // A store node (with no active replica bound) crashes before commit.
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 2).expect("activate"); // binds n1, n2
+    let mut tx = sys.client(n(4)).begin().with_replicas(2);
+    let g = tx.bind(&uid).expect("activate"); // binds n1, n2
     assert_eq!(g.servers, vec![n(1), n(2)]);
-    client
-        .invoke(a, &g, &CounterOp::Add(42).encode())
-        .expect("op");
+    tx.invoke(&uid, CounterOp::Add(42)).expect("op");
     sys.sim().crash(n(3));
-    client.commit(a).expect("commit succeeds without n3");
+    tx.commit().expect("commit succeeds without n3");
     // n3 was excluded from St.
-    let st = sys.naming().state_db.entry(uid).expect("entry");
+    let st = sys.naming().state_db.entry(uid.uid()).expect("entry");
     assert_eq!(st.stores, vec![n(1), n(2)]);
     // Its stable store still has the stale v0 state.
     sys.sim().recover(n(3));
-    let stale = sys.stores().read_local(n(3), uid).expect("stale state");
+    let stale = sys
+        .stores()
+        .read_local(n(3), uid.uid())
+        .expect("stale state");
     assert_eq!(stale.version, Version::INITIAL);
     sys.sim().crash(n(3));
     // Recovery refreshes and re-includes.
     let report = sys.recovery().recover_node(n(3));
-    assert_eq!(report.refreshed, vec![uid]);
-    let st = sys.naming().state_db.entry(uid).expect("entry");
+    assert_eq!(report.refreshed, vec![uid.uid()]);
+    let st = sys.naming().state_db.entry(uid.uid()).expect("entry");
     assert_eq!(st.stores, vec![n(1), n(2), n(3)]);
-    let fresh = sys.stores().read_local(n(3), uid).expect("fresh state");
+    let fresh = sys
+        .stores()
+        .read_local(n(3), uid.uid())
+        .expect("fresh state");
     assert_eq!(fresh.version, Version::new(1));
     assert_eq!(Counter::decode(&fresh.data).value(), 42);
 }
@@ -190,16 +165,12 @@ fn read_only_action_skips_state_copy() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
     let uid = create_counter(&sys, 5);
     // Note the store versions before.
-    let v_before = sys.stores().read_local(n(1), uid).unwrap().version;
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate_read_only(a, uid, 1).expect("activate");
-    client
-        .invoke_read(a, &g, &CounterOp::Get.encode())
-        .expect("read");
-    client.commit(a).expect("commit");
+    let v_before = sys.stores().read_local(n(1), uid.uid()).unwrap().version;
+    let mut tx = sys.client(n(4)).begin_read().with_replicas(1);
+    tx.invoke(&uid, CounterOp::Get).expect("read");
+    tx.commit().expect("commit");
     assert_eq!(
-        sys.stores().read_local(n(1), uid).unwrap().version,
+        sys.stores().read_local(n(1), uid.uid()).unwrap().version,
         v_before,
         "read optimisation: no copy to object stores"
     );
@@ -209,12 +180,8 @@ fn read_only_action_skips_state_copy() {
 fn all_stores_down_aborts_commit() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
     let uid = create_counter(&sys, 0);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 2).expect("activate");
-    client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
-        .expect("op");
+    let mut tx = sys.client(n(4)).begin().with_replicas(2);
+    tx.invoke(&uid, CounterOp::Add(1)).expect("op");
     // Every store node dies before commit. (The bound servers ARE the
     // store nodes here, so the final state still lives in... nowhere —
     // replicas are on the same crashed nodes.) Crash only stores' disks is
@@ -222,13 +189,13 @@ fn all_stores_down_aborts_commit() {
     for i in [1, 2, 3] {
         sys.sim().crash(n(i));
     }
-    let err = client.commit(a).expect_err("nothing can persist");
+    let err = tx.commit().expect_err("nothing can persist");
     // With the replicas gone too, the failure may surface as a missing
     // final state or as all stores failing — both mean "abort", and both
     // must be attributed to the crashes, not to contention.
     match err {
         groupview_replication::CommitError::AllStoresFailed { uid: u, .. }
-        | groupview_replication::CommitError::NoFinalState(u) => assert_eq!(u, uid),
+        | groupview_replication::CommitError::NoFinalState(u) => assert_eq!(u, uid.uid()),
         other => panic!("unexpected commit error: {other}"),
     }
     assert!(err.is_failure_caused(), "crash-caused commit abort: {err}");
@@ -242,19 +209,15 @@ fn independent_scheme_full_client_lifecycle() {
         BindingScheme::IndependentTopLevel,
     );
     let uid = create_counter(&sys, 0);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 2).expect("activate");
-    assert!(g.binding().registered);
+    let mut tx = sys.client(n(4)).begin().with_replicas(2);
+    assert!(tx.bind(&uid).expect("activate").binding().registered);
     // Use lists are visible while the action runs.
-    let entry = sys.naming().server_db.entry(uid).expect("entry");
+    let entry = sys.naming().server_db.entry(uid.uid()).expect("entry");
     assert_eq!(entry.total_uses(), 2);
-    client
-        .invoke(a, &g, &CounterOp::Add(3).encode())
-        .expect("op");
-    client.commit(a).expect("commit");
+    tx.invoke(&uid, CounterOp::Add(3)).expect("op");
+    tx.commit().expect("commit");
     // Decrement ran after the action: quiescent again.
-    let entry = sys.naming().server_db.entry(uid).expect("entry");
+    let entry = sys.naming().server_db.entry(uid.uid()).expect("entry");
     assert!(entry.is_quiescent());
     assert_eq!(counter_value(&sys, uid, n(5)), 3);
 }
@@ -263,14 +226,15 @@ fn independent_scheme_full_client_lifecycle() {
 fn nested_top_level_scheme_full_client_lifecycle() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::NestedTopLevel);
     let uid = create_counter(&sys, 0);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 2).expect("activate");
-    client
-        .invoke(a, &g, &CounterOp::Add(3).encode())
-        .expect("op");
-    client.commit(a).expect("commit");
-    assert!(sys.naming().server_db.entry(uid).unwrap().is_quiescent());
+    let mut tx = sys.client(n(4)).begin().with_replicas(2);
+    tx.invoke(&uid, CounterOp::Add(3)).expect("op");
+    tx.commit().expect("commit");
+    assert!(sys
+        .naming()
+        .server_db
+        .entry(uid.uid())
+        .unwrap()
+        .is_quiescent());
     assert_eq!(counter_value(&sys, uid, n(5)), 3);
 }
 
@@ -281,21 +245,25 @@ fn crashed_client_leak_reclaimed_by_cleanup_daemon() {
         BindingScheme::IndependentTopLevel,
     );
     let uid = create_counter(&sys, 0);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 2).expect("activate");
-    let _ = g;
-    // The client crashes without decrementing.
-    let leaked = client.crash_without_cleanup(a);
+    let mut tx = sys.client(n(4)).begin().with_replicas(2);
+    tx.bind(&uid).expect("activate");
+    // The client crashes without decrementing; the action still aborts.
+    let leaked = tx.crash();
     assert_eq!(leaked, 1);
-    let entry = sys.naming().server_db.entry(uid).unwrap();
+    assert!(sys.tx().locks_empty());
+    let entry = sys.naming().server_db.entry(uid.uid()).unwrap();
     assert_eq!(entry.total_uses(), 2, "use lists leaked");
     // Insert (e.g. a recovered server) is refused while the leak persists.
     assert!(!entry.is_quiescent());
     // The daemon reclaims once it learns the client is dead.
     let report = sys.cleanup().sweep(|_| false);
     assert_eq!(report.reclaimed(), 2);
-    assert!(sys.naming().server_db.entry(uid).unwrap().is_quiescent());
+    assert!(sys
+        .naming()
+        .server_db
+        .entry(uid.uid())
+        .unwrap()
+        .is_quiescent());
 }
 
 #[test]
@@ -305,16 +273,12 @@ fn passivation_after_quiescence() {
         BindingScheme::IndependentTopLevel,
     );
     let uid = create_counter(&sys, 1);
-    let client = sys.client(n(4));
-    let a = client.begin_action();
-    let g = client.activate(a, uid, 2).expect("activate");
-    client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
-        .expect("op");
-    assert!(!sys.try_passivate(uid), "in use: cannot passivate");
-    client.commit(a).expect("commit");
-    assert!(sys.try_passivate(uid), "quiescent: passivated");
-    assert!(sys.registry().replicas_of(uid).is_empty());
+    let mut tx = sys.client(n(4)).begin().with_replicas(2);
+    tx.invoke(&uid, CounterOp::Add(1)).expect("op");
+    assert!(!sys.try_passivate(uid.uid()), "in use: cannot passivate");
+    tx.commit().expect("commit");
+    assert!(sys.try_passivate(uid.uid()), "quiescent: passivated");
+    assert!(sys.registry().replicas_of(uid.uid()).is_empty());
     // Re-activation reloads from stores and sees the committed value.
     assert_eq!(counter_value(&sys, uid, n(5)), 2);
 }
@@ -325,25 +289,21 @@ fn object_write_lock_serialises_writers() {
     let uid = create_counter(&sys, 0);
     let c1 = sys.client(n(4));
     let c2 = sys.client(n(5));
-    let a1 = c1.begin_action();
-    let g1 = c1.activate(a1, uid, 2).expect("activate 1");
-    c1.invoke(a1, &g1, &CounterOp::Add(1).encode())
-        .expect("op 1");
+    let mut t1 = c1.begin().with_replicas(2);
+    t1.invoke(&uid, CounterOp::Add(1)).expect("op 1");
     // Second writer is refused at the object lock.
-    let a2 = c2.begin_action();
-    let g2 = c2.activate(a2, uid, 2).expect("activate 2");
-    let err = c2
-        .invoke(a2, &g2, &CounterOp::Add(1).encode())
+    let mut t2 = c2.begin().with_replicas(2);
+    t2.bind(&uid).expect("activate 2");
+    let err = t2
+        .invoke(&uid, CounterOp::Add(1))
         .expect_err("write-write conflict");
-    assert!(matches!(err, InvokeError::Tx(_)));
-    c2.abort(a2);
-    c1.commit(a1).expect("commit 1");
+    assert!(matches!(err, TxOpError::Invoke(InvokeError::Tx(_))));
+    t2.abort();
+    t1.commit().expect("commit 1");
     // Now the second client can proceed.
-    let a3 = c2.begin_action();
-    let g3 = c2.activate(a3, uid, 2).expect("activate 3");
-    c2.invoke(a3, &g3, &CounterOp::Add(1).encode())
-        .expect("op 3");
-    c2.commit(a3).expect("commit 3");
+    let mut t3 = c2.begin().with_replicas(2);
+    t3.invoke(&uid, CounterOp::Add(1)).expect("op 3");
+    t3.commit().expect("commit 3");
     assert_eq!(counter_value(&sys, uid, n(4)), 2);
 }
 
@@ -351,74 +311,52 @@ fn object_write_lock_serialises_writers() {
 fn concurrent_readers_share_the_object() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
     let uid = create_counter(&sys, 9);
-    let c1 = sys.client(n(4));
-    let c2 = sys.client(n(5));
-    let a1 = c1.begin_action();
-    let a2 = c2.begin_action();
-    let g1 = c1.activate_read_only(a1, uid, 1).expect("activate 1");
-    let g2 = c2.activate_read_only(a2, uid, 1).expect("activate 2");
-    let r1 = c1
-        .invoke_read(a1, &g1, &CounterOp::Get.encode())
-        .expect("r1");
-    let r2 = c2
-        .invoke_read(a2, &g2, &CounterOp::Get.encode())
-        .expect("r2");
-    assert_eq!(CounterOp::decode_reply(&r1), Some(9));
-    assert_eq!(CounterOp::decode_reply(&r2), Some(9));
-    c1.commit(a1).expect("commit 1");
-    c2.commit(a2).expect("commit 2");
+    let mut t1 = sys.client(n(4)).begin_read().with_replicas(1);
+    let mut t2 = sys.client(n(5)).begin_read().with_replicas(1);
+    t1.bind(&uid).expect("activate 1");
+    t2.bind(&uid).expect("activate 2");
+    assert_eq!(t1.invoke(&uid, CounterOp::Get), Ok(9));
+    assert_eq!(t2.invoke(&uid, CounterOp::Get), Ok(9));
+    t1.commit().expect("commit 1");
+    t2.commit().expect("commit 2");
 }
 
 #[test]
 fn bank_transfer_is_atomic_across_two_objects() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
     let alice = sys
-        .create_object(Box::new(Account::new(100)), &[n(1), n(2)], &[n(1), n(2)])
+        .create_typed(Account::new(100), &[n(1), n(2)], &[n(1), n(2)])
         .expect("alice");
     let bob = sys
-        .create_object(Box::new(Account::new(10)), &[n(2), n(3)], &[n(2), n(3)])
+        .create_typed(Account::new(10), &[n(2), n(3)], &[n(2), n(3)])
         .expect("bob");
     let client = sys.client(n(4));
 
     // Successful transfer.
-    let a = client.begin_action();
-    let ga = client.activate(a, alice, 2).expect("activate alice");
-    let gb = client.activate(a, bob, 2).expect("activate bob");
-    let w = client
-        .invoke(a, &ga, &AccountOp::Withdraw(40).encode())
+    let mut tx = client.begin().with_replicas(2);
+    tx.bind(&alice).expect("activate alice");
+    tx.bind(&bob).expect("activate bob");
+    let w = tx
+        .invoke(&alice, AccountOp::Withdraw(40))
         .expect("withdraw");
-    assert_eq!(AccountOp::decode_reply(&w), Some(60));
-    client
-        .invoke(a, &gb, &AccountOp::Deposit(40).encode())
-        .expect("deposit");
-    client.commit(a).expect("commit transfer");
+    assert_eq!(w, 60);
+    tx.invoke(&bob, AccountOp::Deposit(40)).expect("deposit");
+    tx.commit().expect("commit transfer");
 
     // Failed transfer aborts both legs.
-    let b = client.begin_action();
-    let ga = client.activate(b, alice, 2).expect("activate alice");
-    let gb = client.activate(b, bob, 2).expect("activate bob");
-    client
-        .invoke(b, &ga, &AccountOp::Withdraw(10).encode())
+    let mut tx = client.begin().with_replicas(2);
+    tx.invoke(&alice, AccountOp::Withdraw(10))
         .expect("withdraw");
-    client
-        .invoke(b, &gb, &AccountOp::Deposit(10).encode())
-        .expect("deposit");
-    client.abort(b); // application decides to roll back
+    tx.invoke(&bob, AccountOp::Deposit(10)).expect("deposit");
+    tx.abort(); // application decides to roll back
 
     // Balances: only the first transfer happened.
-    let check = sys.client(n(5));
-    let c = check.begin_action();
-    let ga = check.activate_read_only(c, alice, 1).expect("alice ro");
-    let gb = check.activate_read_only(c, bob, 1).expect("bob ro");
-    let ra = check
-        .invoke_read(c, &ga, &AccountOp::Balance.encode())
-        .expect("balance a");
-    let rb = check
-        .invoke_read(c, &gb, &AccountOp::Balance.encode())
-        .expect("balance b");
-    check.commit(c).expect("commit check");
-    assert_eq!(AccountOp::decode_reply(&ra), Some(60));
-    assert_eq!(AccountOp::decode_reply(&rb), Some(50));
+    let mut check = sys.client(n(5)).begin_read().with_replicas(1);
+    let ra = check.invoke(&alice, AccountOp::Balance).expect("balance a");
+    let rb = check.invoke(&bob, AccountOp::Balance).expect("balance b");
+    check.commit().expect("commit check");
+    assert_eq!(ra, 60);
+    assert_eq!(rb, 50);
 }
 
 #[test]
@@ -436,20 +374,15 @@ fn exclude_policy_promote_aborts_under_concurrent_reader() {
             .build();
         let uid = create_counter(&sys, 0);
         // A reader holds a read lock on the St entry (via activation).
-        let reader = sys.client(n(5));
-        let ra = reader.begin_action();
-        let _rg = reader.activate_read_only(ra, uid, 1).expect("reader");
+        let mut reader = sys.client(n(5)).begin_read().with_replicas(1);
+        reader.bind(&uid).expect("reader");
         // The writer modifies and commits while a store is down → Exclude.
-        let writer = sys.client(n(4));
-        let wa = writer.begin_action();
-        let wg = writer.activate(wa, uid, 1).expect("writer");
-        writer
-            .invoke(wa, &wg, &CounterOp::Add(1).encode())
-            .expect("op");
+        let mut writer = sys.client(n(4)).begin().with_replicas(1);
+        writer.invoke(&uid, CounterOp::Add(1)).expect("op");
         sys.sim().crash(n(3));
-        let result = writer.commit(wa);
+        let result = writer.commit();
         assert_eq!(result.is_ok(), expect_ok, "policy {policy:?}");
-        reader.commit(ra).expect("reader commit");
+        reader.commit().expect("reader commit");
     }
 }
 
@@ -463,12 +396,9 @@ fn deterministic_same_seed_same_outcome() {
         let uid = create_counter(&sys, 0);
         let client = sys.client(n(4));
         for i in 0..5 {
-            let a = client.begin_action();
-            let g = client.activate(a, uid, 2).expect("activate");
-            client
-                .invoke(a, &g, &CounterOp::Add(i).encode())
-                .expect("op");
-            client.commit(a).expect("commit");
+            let mut tx = client.begin().with_replicas(2);
+            tx.invoke(&uid, CounterOp::Add(i)).expect("op");
+            tx.commit().expect("commit");
         }
         (
             counter_value(&sys, uid, n(5)),
@@ -495,13 +425,9 @@ fn reborn_replica_fails_the_in_flight_action() {
     ] {
         let sys = system(policy, BindingScheme::Standard);
         let uid = create_counter(&sys, 0);
-        let a_client = sys.client(n(4));
-        let action = a_client.begin_action();
-        let group = a_client.activate(action, uid, 3).expect("activate A");
-        let r = a_client
-            .invoke(action, &group, &CounterOp::Add(1).encode())
-            .expect("first op");
-        assert_eq!(CounterOp::decode_reply(&r), Some(1), "policy {policy}");
+        let mut a_tx = sys.client(n(4)).begin().with_replicas(3);
+        let r = a_tx.invoke(&uid, CounterOp::Add(1)).expect("first op");
+        assert_eq!(r, 1, "policy {policy}");
 
         // Every bound server dies mid-action (uncommitted state lost) and
         // recovers; then another client's activation reloads the replicas
@@ -512,19 +438,16 @@ fn reborn_replica_fails_the_in_flight_action() {
         for &server in &[n(1), n(2), n(3)] {
             sys.recovery().recover_node(server);
         }
-        let b_client = sys.client(n(5));
-        let b_action = b_client.begin_action();
-        let _b_group = b_client
-            .activate_read_only(b_action, uid, 3)
-            .expect("B reactivates the passive object");
+        let mut b_tx = sys.client(n(5)).begin_read().with_replicas(3);
+        b_tx.bind(&uid).expect("B reactivates the passive object");
 
         // A's next invoke must fail — the reborn replicas never see the op.
-        let err = a_client
-            .invoke(action, &group, &CounterOp::Add(1).encode())
+        let err = a_tx
+            .invoke(&uid, CounterOp::Add(1))
             .expect_err("the in-flight action must not continue on reborn replicas");
         assert!(err.is_failure_caused(), "policy {policy}: {err}");
-        a_client.abort(action);
-        b_client.commit(b_action).expect("B commits its read");
+        a_tx.abort();
+        b_tx.commit().expect("B commits its read");
 
         // Nothing of A's aborted action leaked into the committed state.
         assert_eq!(counter_value(&sys, uid, n(5)), 0, "policy {policy}");
@@ -543,12 +466,9 @@ fn observed_system_reports_spans_counters_and_wire_stats() {
     let uid = create_counter(&sys, 0);
     let client = sys.client(n(4));
     for i in 0..3 {
-        let a = client.begin_action();
-        let g = client.activate(a, uid, 2).expect("activate");
-        client
-            .invoke(a, &g, &CounterOp::Add(i).encode())
-            .expect("invoke");
-        client.commit(a).expect("commit");
+        let mut tx = client.begin().with_replicas(2);
+        tx.invoke(&uid, CounterOp::Add(i)).expect("invoke");
+        tx.commit().expect("commit");
     }
     let snap = sys.metrics_snapshot();
     assert_eq!(snap.worlds, 1);

@@ -1,7 +1,8 @@
 //! Property tests for the `ObjectType` codec contract — op and reply
 //! round-trips for all three built-in classes, including empty, boundary,
-//! and >64KiB values — plus a regression test that a typed `Handle` reply
-//! survives a crash-masked re-activation.
+//! and >64KiB values — plus batch-reply alignment through `Tx::invoke_batch`
+//! and a regression test that a typed reply survives a crash-masked
+//! re-activation.
 
 use groupview_replication::{
     Account, AccountOp, Counter, CounterOp, KvMap, KvOp, KvReply, ObjectType, ReplicaObject,
@@ -78,8 +79,8 @@ proptest! {
     }
 
     /// The reply bytes the live object writes through the encoder are
-    /// exactly what `encode_reply` produces — the codec contract the typed
-    /// handle relies on.
+    /// exactly what `encode_reply` produces — the codec contract typed
+    /// invocation relies on.
     #[test]
     fn object_replies_match_the_reply_codec(start in any::<i64>(), delta in -1_000i64..1_000) {
         let enc = WireEncoder::new();
@@ -92,13 +93,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// `invoke_batch` replies are index-aligned with the submitted ops —
-    /// under every replication policy, for mixed read/write batches, for
+    /// `Tx::invoke_batch` replies are index-aligned with the submitted ops
+    /// — under every replication policy, for mixed read/write batches, for
     /// all-read batches (which take the read-lock path), and for the empty
-    /// batch.
+    /// batch — whether the batch binds the object itself or the object was
+    /// already activated by an earlier single invoke in the transaction.
     #[test]
     fn batch_replies_align_with_op_order_under_every_policy(
         deltas in prop::collection::vec(-1_000i64..1_000, 1..10),
+        warm in any::<bool>(),
     ) {
         for policy in [
             ReplicationPolicy::Active,
@@ -112,8 +115,10 @@ proptest! {
                 .expect("create");
             let client = sys.client(NodeId::new(4));
             let counter = uid.open(&client);
-            let action = client.begin_action();
-            counter.activate(action, 2).expect("activate");
+            let mut tx = client.begin().with_replicas(2);
+            if warm {
+                prop_assert_eq!(tx.invoke(&counter, CounterOp::Get), Ok(0));
+            }
             // Interleave Adds and Gets: each reply must reflect exactly the
             // ops before it in the batch, in order.
             let mut ops = Vec::new();
@@ -126,19 +131,19 @@ proptest! {
                 ops.push(CounterOp::Get);
                 expected.push(total);
             }
-            let replies = counter.invoke_batch(action, &ops).expect("batch");
+            let replies = tx.invoke_batch(&counter, &ops).expect("batch");
             prop_assert_eq!(&replies, &expected);
             // An all-read batch takes the read-lock path and still aligns.
-            let replies = counter
-                .invoke_batch(action, &[CounterOp::Get; 3])
+            let replies = tx
+                .invoke_batch(&counter, &[CounterOp::Get; 3])
                 .expect("read batch");
             prop_assert_eq!(replies, vec![total; 3]);
             // The empty batch is a no-op with an empty reply vector.
             prop_assert_eq!(
-                counter.invoke_batch(action, &[]).expect("empty batch"),
+                tx.invoke_batch(&counter, &[]).expect("empty batch"),
                 Vec::<i64>::new()
             );
-            client.commit(action).expect("commit");
+            tx.commit().expect("commit");
         }
     }
 }
@@ -166,7 +171,7 @@ fn kv_codec_handles_empty_boundary_and_oversized_values() {
     }
 }
 
-/// A >64KiB value travels the full replicated path through a typed handle:
+/// A >64KiB value travels the full replicated path through a transaction:
 /// written in one action, read back typed in another.
 #[test]
 fn oversized_values_survive_the_full_typed_path() {
@@ -179,26 +184,23 @@ fn oversized_values_survive_the_full_typed_path() {
     let shelf = uid.open(&client);
     let big = "y".repeat(80 * 1024);
 
-    let action = client.begin_action();
-    shelf.activate(action, 2).expect("activate");
+    let mut tx = client.begin().with_replicas(2);
     assert_eq!(
-        shelf
-            .invoke(action, KvOp::Put("blob".into(), big.clone()))
+        tx.invoke(&shelf, KvOp::Put("blob".into(), big.clone()))
             .expect("put"),
         KvReply::Value(String::new())
     );
-    client.commit(action).expect("commit");
+    tx.commit().expect("commit");
 
-    let action = client.begin_action();
-    shelf.activate_read_only(action, 1).expect("activate");
+    let mut tx = client.begin_read().with_replicas(1);
     assert_eq!(
-        shelf.invoke(action, KvOp::Get("blob".into())).expect("get"),
+        tx.invoke(&shelf, KvOp::Get("blob".into())).expect("get"),
         KvReply::Value(big)
     );
-    client.commit(action).expect("commit");
+    tx.commit().expect("commit");
 }
 
-/// Regression: a typed `Handle` keeps returning correctly-decoded replies
+/// Regression: typed invocation keeps returning correctly-decoded replies
 /// across a crash that is masked by re-activation — the reply decoded after
 /// the surviving replicas take over must reflect every committed update.
 #[test]
@@ -215,33 +217,32 @@ fn typed_reply_survives_crash_masked_reactivation() {
     let counter = uid.open(&client);
 
     // Commit through two replicas.
-    let action = client.begin_action();
-    let group = counter.activate(action, 2).expect("activate");
-    assert_eq!(counter.invoke(action, CounterOp::Add(7)).expect("add"), 7);
-    client.commit(action).expect("commit");
+    let mut tx = client.begin().with_replicas(2);
+    let crashed = tx.bind(&counter).expect("activate").servers[0];
+    assert_eq!(tx.invoke(&counter, CounterOp::Add(7)).expect("add"), 7);
+    tx.commit().expect("commit");
 
     // Crash one bound replica; the next activation masks it.
-    sys.sim().crash(group.servers[0]);
-    let action = client.begin_action();
-    let regrouped = counter.activate(action, 2).expect("re-activate");
+    sys.sim().crash(crashed);
+    let mut tx = client.begin().with_replicas(2);
+    let regrouped = tx.bind(&counter).expect("re-activate");
     assert!(
-        !regrouped.servers.contains(&group.servers[0]),
+        !regrouped.servers.contains(&crashed),
         "crashed server must not be re-bound"
     );
     assert_eq!(
-        counter.invoke(action, CounterOp::Add(3)).expect("add"),
+        tx.invoke(&counter, CounterOp::Add(3)).expect("add"),
         10,
         "typed reply reflects the pre-crash committed state"
     );
-    assert_eq!(counter.invoke(action, CounterOp::Get).expect("get"), 10);
-    client.commit(action).expect("commit");
+    assert_eq!(tx.invoke(&counter, CounterOp::Get).expect("get"), 10);
+    tx.commit().expect("commit");
 
     // And once more after recovery, from a third client.
-    sys.recovery().recover_node(group.servers[0]);
+    sys.recovery().recover_node(crashed);
     let reader = sys.client(NodeId::new(5));
     let observer = uid.open(&reader);
-    let action = reader.begin_action();
-    observer.activate_read_only(action, 1).expect("activate");
-    assert_eq!(observer.invoke(action, CounterOp::Get).expect("get"), 10);
-    reader.commit(action).expect("commit");
+    let mut tx = reader.begin_read().with_replicas(1);
+    assert_eq!(tx.invoke(&observer, CounterOp::Get).expect("get"), 10);
+    tx.commit().expect("commit");
 }

@@ -23,8 +23,8 @@ use groupview_core::BindingScheme;
 use groupview_membership::{Membership, Rebalancer};
 use groupview_obs::MetricsSnapshot;
 use groupview_replication::{
-    Account, AccountOp, Client, Counter, CounterOp, KvMap, KvOp, ObjectGroup, ObjectType,
-    ReplicationPolicy, System, Tx, TxOpError, TypedUid,
+    Account, AccountOp, Client, Counter, CounterOp, KvMap, KvOp, ObjectType, ReplicationPolicy,
+    System, Tx, TxOpError, TypedUid,
 };
 use groupview_sim::{Bytes, ClientId, NodeId, ScheduledEvent, Sim, SimDuration};
 use groupview_store::Uid;
@@ -45,9 +45,11 @@ pub struct RunOutcome {
 
 enum Phase {
     Idle,
+    /// A one-object action on any class, bound on its first step; the
+    /// following steps invoke its ops, then commit.
     Running {
-        action: groupview_actions::ActionId,
-        group: Box<ObjectGroup>,
+        tx: Tx,
+        uid: Uid,
         /// Index of the acted-on object in `spec.objects` (also indexes
         /// the run's `ModelKind`s).
         object_index: usize,
@@ -394,12 +396,7 @@ pub fn run_plan_typed(
         }
         match std::mem::replace(&mut m.phase, Phase::Idle) {
             Phase::Idle => {}
-            Phase::Running { action, group, .. } => {
-                m.client.abort(action);
-                metrics.aborts += 1;
-                history.aborted(sys.sim().now(), m.idx, action.raw(), group.uid, false);
-            }
-            Phase::Transfer { tx, uid } => {
+            Phase::Running { tx, uid, .. } | Phase::Transfer { tx, uid } => {
                 let action = tx.action().raw();
                 tx.abort();
                 metrics.aborts += 1;
@@ -466,20 +463,12 @@ fn apply_plan_action(
                     m.dead = true;
                     match std::mem::replace(&mut m.phase, Phase::Idle) {
                         Phase::Idle => {}
-                        Phase::Running { action, group, .. } => {
-                            metrics.leaked_bindings +=
-                                m.client.crash_without_cleanup(action) as u64;
+                        Phase::Running { tx, uid, .. } | Phase::Transfer { tx, uid } => {
+                            // A crashing client leaves its bindings behind.
+                            let action = tx.action().raw();
+                            metrics.leaked_bindings += tx.crash() as u64;
                             metrics.aborts += 1;
-                            history.crashed(sys.sim().now(), m.idx, action.raw(), group.uid);
-                        }
-                        Phase::Transfer { tx, uid } => {
-                            // `leak` disarms the drop-abort: a crashing
-                            // client leaves its locks and bindings behind.
-                            let action = tx.leak();
-                            metrics.leaked_bindings +=
-                                m.client.crash_without_cleanup(action) as u64;
-                            metrics.aborts += 1;
-                            history.crashed(sys.sim().now(), m.idx, action.raw(), uid);
+                            history.crashed(sys.sim().now(), m.idx, action, uid);
                         }
                     }
                 }
@@ -552,42 +541,36 @@ fn step_machine(
             }
             let object_index = sim.random_below(spec.objects.len() as u64) as usize;
             let uid = spec.objects[object_index];
-            let action = m.client.begin_action();
-            let outcome = if read_only {
-                m.client.activate_read_only(action, uid, spec.replicas)
+            let tx = if read_only {
+                m.client.begin_read()
             } else {
-                m.client.activate(action, uid, spec.replicas)
+                m.client.begin()
             };
-            match outcome {
-                Ok(group) => {
+            let mut tx = tx.with_replicas(spec.replicas);
+            let bound = with_class!(ops.kind_of(object_index), C => {
+                tx.bind(&TypedUid::<C>::assume(uid)).map(|group| {
                     let b = group.binding();
                     metrics.probe_failures += u64::from(b.probe_failures);
                     metrics.bind_retries += u64::from(b.retries);
                     metrics.servers_removed += b.removed.len() as u64;
+                })
+            });
+            match bound {
+                Ok(()) => {
                     m.phase = Phase::Running {
-                        action,
-                        group: Box::new(group),
+                        tx,
+                        uid,
                         object_index,
                         ops_left: spec.ops_per_action,
                         read_only,
                     };
                 }
-                Err(e) => {
-                    m.client.abort(action);
-                    metrics.abort_bind += 1;
-                    if e.is_failure_caused() {
-                        metrics.abort_bind_failure += 1;
-                    } else {
-                        metrics.abort_bind_contention += 1;
-                    }
-                    history.aborted(sim.now(), m.idx, action.raw(), uid, e.is_failure_caused());
-                    finish_action(sys, m, metrics, false);
-                }
+                Err(e) => abort_tx(sys, m, metrics, history, tx, uid, e.into()),
             }
         }
         Phase::Running {
-            action,
-            group,
+            mut tx,
+            uid,
             object_index,
             ops_left,
             read_only,
@@ -614,108 +597,91 @@ fn step_machine(
                         }
                     })
                     .collect();
-                let result = if batched {
-                    let refs: Vec<&[u8]> = batch.iter().map(|b| b.as_slice()).collect();
-                    if read_only {
-                        m.client.invoke_batch_read(action, &group, &refs)
-                    } else {
-                        m.client.invoke_batch(action, &group, &refs)
-                    }
-                } else if read_only {
-                    m.client
-                        .invoke_read(action, &group, &batch[0])
-                        .map(|r| vec![r])
-                } else {
-                    m.client.invoke(action, &group, &batch[0]).map(|r| vec![r])
-                };
+                let result =
+                    with_class!(kind, C => invoke_encoded::<C>(&mut tx, uid, &batch, batched));
                 match result {
                     Ok(replies) => {
                         // A batch commits as N ordered ops: the oracle
                         // replays each (op, reply) pair individually, so
                         // I1–I5 and the per-class models verify batched
                         // histories unchanged.
+                        let action = tx.action().raw();
                         for (op, reply) in batch.into_iter().zip(replies) {
-                            history.invoked(
-                                sim.now(),
-                                m.idx,
-                                action.raw(),
-                                group.uid,
-                                op,
-                                reply,
-                                !read_only,
-                            );
+                            history.invoked(sim.now(), m.idx, action, uid, op, reply, !read_only);
                         }
                         m.phase = Phase::Running {
-                            action,
-                            group,
+                            tx,
+                            uid,
                             object_index,
                             ops_left: ops_left - k,
                             read_only,
                         };
                     }
-                    Err(e) => {
-                        m.client.abort(action);
-                        metrics.abort_invoke += 1;
-                        if e.is_failure_caused() {
-                            metrics.abort_failure += 1;
-                        } else {
-                            metrics.abort_contention += 1;
-                        }
-                        history.aborted(
-                            sim.now(),
-                            m.idx,
-                            action.raw(),
-                            group.uid,
-                            e.is_failure_caused(),
-                        );
-                        finish_action(sys, m, metrics, false);
-                    }
+                    Err(e) => abort_tx(sys, m, metrics, history, tx, uid, e),
                 }
             } else {
-                let uid = group.uid;
-                match m.client.commit(action) {
-                    Ok(()) => {
-                        history.committed(sim.now(), m.idx, action.raw(), uid);
-                        finish_action(sys, m, metrics, true);
-                    }
-                    Err(e) => {
-                        metrics.abort_commit += 1;
-                        if e.is_failure_caused() {
-                            metrics.abort_commit_failure += 1;
-                        } else {
-                            metrics.abort_commit_contention += 1;
-                        }
-                        history.aborted(sim.now(), m.idx, action.raw(), uid, e.is_failure_caused());
-                        finish_action(sys, m, metrics, false);
-                    }
-                }
-                if spec.passivate_between_actions {
-                    let _ = sys.try_passivate(uid);
-                }
+                commit_tx(sys, spec, m, metrics, history, tx, uid);
             }
         }
-        Phase::Transfer { tx, uid } => {
-            let action = tx.action().raw();
-            match tx.commit() {
-                Ok(()) => {
-                    history.committed(sim.now(), m.idx, action, uid);
-                    finish_action(sys, m, metrics, true);
-                }
-                Err(e) => {
-                    metrics.abort_commit += 1;
-                    if e.is_failure_caused() {
-                        metrics.abort_commit_failure += 1;
-                    } else {
-                        metrics.abort_commit_contention += 1;
-                    }
-                    history.aborted(sim.now(), m.idx, action, uid, e.is_failure_caused());
-                    finish_action(sys, m, metrics, false);
-                }
-            }
-            if spec.passivate_between_actions {
-                let _ = sys.try_passivate(uid);
-            }
+        Phase::Transfer { tx, uid } => commit_tx(sys, spec, m, metrics, history, tx, uid),
+    }
+}
+
+/// Invokes the encoded ops of one step through the typed [`Tx`] surface:
+/// each op decodes as class `C`, runs as one invoke (or one batch when
+/// `batched`), and its reply is re-encoded for the history.
+fn invoke_encoded<C: ObjectType>(
+    tx: &mut Tx,
+    uid: Uid,
+    batch: &[Bytes],
+    batched: bool,
+) -> Result<Vec<Bytes>, TxOpError> {
+    let handle = TypedUid::<C>::assume(uid);
+    let ops: Vec<C::Op> = batch
+        .iter()
+        .map(|op| C::decode_op(op).expect("generated ops decode as their class"))
+        .collect();
+    let replies = if batched {
+        tx.invoke_batch(&handle, &ops)?
+    } else {
+        vec![tx.invoke(&handle, ops[0].clone())?]
+    };
+    Ok(replies
+        .iter()
+        .map(|r| Bytes::from(C::reply_vec(r)))
+        .collect())
+}
+
+/// Commits a finished action and books the outcome; `uid` is the
+/// history representative for the commit/abort event.
+fn commit_tx(
+    sys: &System,
+    spec: &WorkloadSpec,
+    m: &mut Machine,
+    metrics: &mut RunMetrics,
+    history: &mut History,
+    tx: Tx,
+    uid: Uid,
+) {
+    let action = tx.action().raw();
+    match tx.commit() {
+        Ok(()) => {
+            history.committed(sys.sim().now(), m.idx, action, uid);
+            finish_action(sys, m, metrics, true);
         }
+        Err(e) => {
+            metrics.abort_commit += 1;
+            if e.is_failure_caused() {
+                metrics.abort_commit_failure += 1;
+            } else {
+                metrics.abort_commit_contention += 1;
+            }
+            history.aborted(sys.sim().now(), m.idx, action, uid, e.is_failure_caused());
+            finish_action(sys, m, metrics, false);
+        }
+    }
+    if spec.passivate_between_actions {
+        let _ = sys.try_passivate(uid);
     }
 }
 
@@ -771,21 +737,21 @@ fn start_transfer(
                         );
                     }
                     Err(e) => {
-                        abort_transfer(sys, m, metrics, history, tx, from_uid, e);
+                        abort_tx(sys, m, metrics, history, tx, from_uid, e);
                         return;
                     }
                 }
             }
             m.phase = Phase::Transfer { tx, uid: from_uid };
         }
-        Err(e) => abort_transfer(sys, m, metrics, history, tx, from_uid, e),
+        Err(e) => abort_tx(sys, m, metrics, history, tx, from_uid, e),
     }
 }
 
-/// Aborts a failed transfer and books it under the matching taxonomy
+/// Aborts a failed action and books it under the matching taxonomy
 /// bucket: an [`TxOpError::Activate`] is a bind abort, an
 /// [`TxOpError::Invoke`] an invoke abort, each split contention/failure.
-fn abort_transfer(
+fn abort_tx(
     sys: &System,
     m: &mut Machine,
     metrics: &mut RunMetrics,

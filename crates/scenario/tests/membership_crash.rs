@@ -32,13 +32,9 @@ fn target_store_crash_in_migration_commit_resolves_by_decision_record() {
         // Commit real history first so the migrated state is non-trivial.
         let client = sys.client(n(4));
         let counter = uid.open(&client);
-        let action = client.begin_action();
-        counter.activate(action, 2).expect("activate");
-        assert_eq!(
-            counter.invoke(action, CounterOp::Add(5)).expect("invoke"),
-            5
-        );
-        client.commit(action).expect("commit");
+        let mut tx = client.begin().with_replicas(2);
+        assert_eq!(tx.invoke(&counter, CounterOp::Add(5)).expect("invoke"), 5);
+        tx.commit().expect("commit");
         assert!(sys.try_passivate(uid.uid()), "{policy}: quiescent");
 
         let membership = Membership::new(&sys);
@@ -93,14 +89,13 @@ fn target_store_crash_in_migration_commit_resolves_by_decision_record() {
         // And the object still serves from its new placement.
         let reader = sys.client(n(5));
         let observer = uid.open(&reader);
-        let action = reader.begin_action();
-        observer.activate_read_only(action, 1).expect("activate");
+        let mut tx = reader.begin_read().with_replicas(1);
         assert_eq!(
-            observer.invoke(action, CounterOp::Get).expect("read"),
+            tx.invoke(&observer, CounterOp::Get).expect("read"),
             5,
             "{policy}"
         );
-        reader.commit(action).expect("commit");
+        tx.commit().expect("commit");
     }
 }
 
@@ -171,10 +166,9 @@ fn reborn_node_purges_stale_replicas_then_rejoins() {
     let client = sys.client(n(4));
     for (uid, add) in [(&a, 7), (&b, 9)] {
         let counter = uid.open(&client);
-        let action = client.begin_action();
-        counter.activate(action, 2).expect("activate");
-        counter.invoke(action, CounterOp::Add(add)).expect("invoke");
-        client.commit(action).expect("commit");
+        let mut tx = client.begin().with_replicas(2);
+        tx.invoke(&counter, CounterOp::Add(add)).expect("invoke");
+        tx.commit().expect("commit");
         assert!(sys.try_passivate(uid.uid()));
     }
 

@@ -26,18 +26,16 @@ fn store_crash_between_prepare_and_commit_resolves_by_decision_record() {
         let client = sys.client(n(4));
         let counter = uid.open(&client);
 
-        let action = client.begin_action();
-        counter.activate(action, 2).expect("activate");
+        let mut tx = client.begin().with_replicas(2);
         assert_eq!(
-            counter.invoke(action, CounterOp::Add(5)).expect("invoke"),
+            tx.invoke(&counter, CounterOp::Add(5)).expect("invoke"),
             5,
             "{policy}"
         );
         // Arm the trap on a store the write-back will prepare: n2 dies the
         // instant it has acknowledged the prepare.
         sys.stores().arm_crash_after_prepare(n(2));
-        client
-            .commit(action)
+        tx.commit()
             .unwrap_or_else(|e| panic!("{policy}: the coordinator heard every prepare ack, so the decision stands; commit must not abort: {e}"));
         assert!(
             !sys.sim().is_up(n(2)),
@@ -80,14 +78,13 @@ fn store_crash_between_prepare_and_commit_resolves_by_decision_record() {
         assert!(sys.try_passivate(uid.uid()));
         let reader = sys.client(n(5));
         let observer = uid.open(&reader);
-        let action = reader.begin_action();
-        observer.activate_read_only(action, 1).expect("activate");
+        let mut tx = reader.begin_read().with_replicas(1);
         assert_eq!(
-            observer.invoke(action, CounterOp::Get).expect("read"),
+            tx.invoke(&observer, CounterOp::Get).expect("read"),
             5,
             "{policy}"
         );
-        reader.commit(action).expect("commit");
+        tx.commit().expect("commit");
     }
 }
 
@@ -104,9 +101,8 @@ fn unfired_store_trap_disarms_cleanly() {
     sys.stores().disarm_crash_after_prepare(n(2));
     let client = sys.client(n(4));
     let counter = uid.open(&client);
-    let action = client.begin_action();
-    counter.activate(action, 2).expect("activate");
-    counter.invoke(action, CounterOp::Add(1)).expect("invoke");
-    client.commit(action).expect("commit");
+    let mut tx = client.begin().with_replicas(2);
+    tx.invoke(&counter, CounterOp::Add(1)).expect("invoke");
+    tx.commit().expect("commit");
     assert!(sys.sim().is_up(n(2)), "disarmed trap must not fire");
 }

@@ -95,17 +95,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{committed} transfers committed, {aborted} aborted");
 
     // Audit: read every account and check conservation of money.
-    let auditor = sys.client(nodes[7]);
-    let action = auditor.begin_action();
+    let mut audit = sys.client(nodes[7]).begin_read().with_replicas(1);
     let mut total = 0u64;
-    for (i, uid) in accounts.iter().enumerate() {
-        let account = uid.open(&auditor);
-        account.activate_read_only(action, 1)?;
-        let balance = account.invoke(action, AccountOp::Balance)?;
+    for (i, account) in accounts.iter().enumerate() {
+        let balance = audit.invoke(account, AccountOp::Balance)?;
         println!("account {i}: balance {balance}");
         total += balance;
     }
-    auditor.commit(action)?;
+    audit.commit()?;
 
     let expected = INITIAL_BALANCE * ACCOUNTS as u64;
     println!("total = {total} (expected {expected})");

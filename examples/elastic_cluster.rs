@@ -48,11 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if i != 0 && !round.is_multiple_of(i + 1) {
                 continue; // skew: lower-numbered objects run hotter
             }
-            let counter = uid.open(&client);
-            let action = client.begin_action();
-            counter.activate(action, 2)?;
-            counter.invoke(action, CounterOp::Add(1))?;
-            client.commit(action)?;
+            let mut tx = client.begin().with_replicas(2);
+            tx.invoke(uid, CounterOp::Add(1))?;
+            tx.commit()?;
             sys.try_passivate(uid.uid());
         }
     }
@@ -87,11 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Every object still serves its committed state from the new layout.
     for (i, uid) in uids.iter().enumerate() {
-        let counter = uid.open(&client);
-        let action = client.begin_action();
-        counter.activate_read_only(action, 1)?;
-        let value = counter.invoke(action, CounterOp::Get)?;
-        client.commit(action)?;
+        let mut tx = client.begin_read().with_replicas(1);
+        let value = tx.invoke(uid, CounterOp::Get)?;
+        tx.commit()?;
         assert!(value > 0, "object {i} lost history");
     }
     println!("\nall 6 objects serve their committed state from the new layout");

@@ -36,10 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nn3 crashes.");
     let client = sys.client(n(4));
     let counter = uid.open(&client);
-    let action = client.begin_action();
-    counter.activate(action, 2)?;
-    counter.invoke(action, CounterOp::Add(23))?;
-    client.commit(action)?;
+    let mut tx = client.begin().with_replicas(2);
+    tx.invoke(&counter, CounterOp::Add(23))?;
+    tx.commit()?;
     println!(
         "committed Add(23) while n3 was down -> St = {:?}",
         st_of(&sys, uid.uid())
@@ -68,12 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nn1 and n2 crash; only n3 is left.");
     let reader = sys.client(n(5));
     let counter = uid.open(&reader);
-    let action = reader.begin_action();
-    let group = counter.activate_read_only(action, 1)?;
-    let value = counter.invoke(action, CounterOp::Get)?;
-    println!("reader bound to {:?}, Get -> {value}", group.servers);
+    let mut tx = reader.begin_read().with_replicas(1);
+    let servers = tx.bind(&counter)?.servers.clone();
+    let value = tx.invoke(&counter, CounterOp::Get)?;
+    println!("reader bound to {servers:?}, Get -> {value}");
     assert_eq!(value, 123, "n3 must serve the refreshed state");
-    reader.commit(action)?;
+    tx.commit()?;
 
     println!("\nno stale state was ever observable — exactly the paper's guarantee.");
     Ok(())

@@ -39,27 +39,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("duplicate 'till' refused: {err}");
 
     // Stock the shelves and take payment in one atomic action, all via
-    // names (each lookup is a nested action of the sale). `open_by_name`
+    // names (each lookup is a nested action of the sale). `bind_by_name`
     // resolves, activates, and hands back a typed handle in one step.
     let clerk = sys.client(n(5));
-    let sale = clerk.begin_action();
-    let tools = clerk.open_by_name::<KvMap>(sale, "shelves/tools", 2)?;
-    let till = clerk.open_by_name::<Account>(sale, "till", 2)?;
-    tools.invoke(sale, KvOp::Put("hammer".into(), "3 in stock".into()))?;
-    till.invoke(sale, AccountOp::Deposit(25))?;
-    clerk.commit(sale)?;
+    let mut sale = clerk.begin().with_replicas(2);
+    let tools = sale.bind_by_name::<KvMap>("shelves/tools")?;
+    let till = sale.bind_by_name::<Account>("till")?;
+    sale.invoke(&tools, KvOp::Put("hammer".into(), "3 in stock".into()))?;
+    sale.invoke(&till, AccountOp::Deposit(25))?;
+    sale.commit()?;
     println!("sale committed: stocked hammers, took 25 into the till");
 
     // A crash between actions does not disturb names or state.
     sys.sim().crash(n(1));
     println!("n1 crashed");
 
-    let audit = clerk.begin_action();
-    let tools = clerk.open_by_name::<KvMap>(audit, "shelves/tools", 1)?;
-    let till = clerk.open_by_name::<Account>(audit, "till", 1)?;
-    let stock = tools.invoke(audit, KvOp::Get("hammer".into()))?;
-    let balance = till.invoke(audit, AccountOp::Balance)?;
-    clerk.commit(audit)?;
+    let mut audit = clerk.begin_read().with_replicas(1);
+    let tools = audit.bind_by_name::<KvMap>("shelves/tools")?;
+    let till = audit.bind_by_name::<Account>("till")?;
+    let stock = audit.invoke(&tools, KvOp::Get("hammer".into()))?;
+    let balance = audit.invoke(&till, AccountOp::Balance)?;
+    audit.commit()?;
     println!(
         "after the crash: hammer -> {:?}, till -> {balance}",
         stock.value().unwrap_or("")

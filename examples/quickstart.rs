@@ -24,41 +24,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let uid = sys.create_typed(Counter::new(0), servers, servers)?;
     println!("created {uid}: Sv = St = {{n1, n2, n3}}");
 
-    // First atomic action: activate two replicas and add 10. Typed handles
-    // encode operations and decode replies for us.
+    // First atomic action: bind two replicas and add 10. A transaction
+    // encodes typed operations and decodes replies for us.
     let client = sys.client(client_node);
     let counter = uid.open(&client);
-    let action = client.begin_action();
-    let group = counter.activate(action, 2)?;
-    println!("bound to servers {:?} (|Sv'| = 2)", group.servers);
-    let value = counter.invoke(action, CounterOp::Add(10))?;
+    let mut tx = client.begin().with_replicas(2);
+    let servers = tx.bind(&counter)?.servers.clone();
+    println!("bound to servers {servers:?} (|Sv'| = 2)");
+    let value = tx.invoke(&counter, CounterOp::Add(10))?;
     println!("Add(10) -> {value}");
-    client.commit(action)?;
+    tx.commit()?;
     println!("committed; every store in St now holds version 1");
 
     // Crash one of the bound replicas. Active replication masks it.
-    sys.sim().crash(group.servers[0]);
+    sys.sim().crash(servers[0]);
     println!(
         "crashed {} — the binding service routes around it",
-        group.servers[0]
+        servers[0]
     );
 
-    let action = client.begin_action();
-    let group = counter.activate(action, 2)?;
-    // `Get` is read-only, so the handle takes a read lock automatically.
-    let value = counter.invoke(action, CounterOp::Get)?;
-    println!("after the crash: bound {:?}, Get -> {value}", group.servers);
-    client.commit(action)?;
+    // A read-only transaction binds read-only — it joins the live
+    // activation (here the surviving replica) — and takes read locks.
+    let mut tx = client.begin_read().with_replicas(2);
+    let servers = tx.bind(&counter)?.servers.clone();
+    let value = tx.invoke(&counter, CounterOp::Get)?;
+    println!("after the crash: bound {servers:?}, Get -> {value}");
+    tx.commit()?;
 
     // Batched invocation: three ops in one wire frame and one replica
     // round; replies are index-aligned with the ops. The one write op
     // makes the whole batch take the write lock.
-    let action = client.begin_action();
-    counter.activate(action, 2)?;
-    let replies =
-        counter.invoke_batch(action, &[CounterOp::Get, CounterOp::Add(5), CounterOp::Get])?;
+    let mut tx = client.begin().with_replicas(2);
+    let replies = tx.invoke_batch(
+        &counter,
+        &[CounterOp::Get, CounterOp::Add(5), CounterOp::Get],
+    )?;
     println!("batch [Get, Add(5), Get] -> {replies:?}");
-    client.commit(action)?;
+    tx.commit()?;
 
     // The simulated run is deterministic: same seed, same story.
     println!(

@@ -34,27 +34,26 @@
 //! let uid = sys.create_typed(Counter::new(0), &nodes[1..4], &nodes[1..4])?;
 //!
 //! // A client runs an atomic action against two active replicas through a
-//! // typed handle: operations in, decoded replies out — no byte codecs.
+//! // transaction: typed operations in, decoded replies out — no byte
+//! // codecs. The first touch of an object binds it through Sv/St.
 //! let client = sys.client(nodes[4]);
 //! let counter = uid.open(&client);
-//! let action = client.begin_action();
-//! counter.activate(action, 2)?;
-//! assert_eq!(counter.invoke(action, CounterOp::Add(10))?, 10);
-//! client.commit(action)?;
+//! let mut tx = client.begin().with_replicas(2);
+//! assert_eq!(tx.invoke(&counter, CounterOp::Add(10))?, 10);
+//! tx.commit()?;
 //!
 //! // A crash of one replica is masked; the state is safe on every store.
-//! // `Get` is read-only, so the handle takes a read lock automatically.
+//! // A read-only transaction binds read-only and takes read locks.
 //! sys.sim().crash(nodes[1]);
-//! let action = client.begin_action();
-//! counter.activate(action, 2)?;
-//! assert_eq!(counter.invoke(action, CounterOp::Get)?, 10);
-//! client.commit(action)?;
+//! let mut tx = client.begin_read().with_replicas(2);
+//! assert_eq!(tx.invoke(&counter, CounterOp::Get)?, 10);
+//! tx.commit()?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The raw byte-level surface ([`Client::invoke`] with encoded ops) remains
-//! available as an escape hatch; see `docs/OBJECTS.md` for the
-//! [`ObjectType`]/[`ReplicaObject`] split and the encoder-ownership rules.
+//! [`Tx`] is the only client surface; see `docs/TRANSACTIONS.md` for its
+//! lifecycle and `docs/OBJECTS.md` for the [`ObjectType`]/[`ReplicaObject`]
+//! split and the encoder-ownership rules.
 //!
 //! Worlds are **elastic**: [`Membership`] adds fresh nodes and drains old
 //! ones at runtime — each replica moved by a transactional migration that

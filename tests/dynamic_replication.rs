@@ -81,16 +81,15 @@ fn growing_sv_makes_the_new_server_bindable() {
     sys.sim().crash(n(1));
     let client = sys.client(n(5));
     let counter = client.open::<Counter>(uid);
-    let action = client.begin_action();
-    let group = counter.activate(action, 2).expect("bind the new server");
+    let mut tx = client.begin().with_replicas(2);
+    let group = tx.bind(&counter).expect("bind the new server");
     assert_eq!(group.servers, vec![n(2), n(3)]);
     assert_eq!(
-        counter
-            .invoke(action, CounterOp::Get)
+        tx.invoke(&counter, CounterOp::Get)
             .expect("read via the grown set"),
         0
     );
-    client.commit(action).expect("commit");
+    tx.commit().expect("commit");
 }
 
 #[test]
@@ -99,10 +98,9 @@ fn growing_st_adds_a_durable_copy() {
     // Commit a value first.
     let client = sys.client(n(5));
     let counter = client.open::<Counter>(uid);
-    let action = client.begin_action();
-    counter.activate(action, 2).expect("activate");
-    counter.invoke(action, CounterOp::Add(42)).expect("invoke");
-    client.commit(action).expect("commit");
+    let mut tx = client.begin().with_replicas(2);
+    tx.invoke(&counter, CounterOp::Add(42)).expect("invoke");
+    tx.commit().expect("commit");
     assert!(sys.try_passivate(uid));
 
     add_store(&sys, uid, n(4)).expect("include n4");
@@ -115,11 +113,11 @@ fn growing_st_adds_a_durable_copy() {
     add_server(&sys, uid, n(3)).expect("insert n3");
     sys.sim().crash(n(1));
     sys.sim().crash(n(2));
-    let action = client.begin_action();
-    let group = counter.activate(action, 1).expect("activate from n4");
+    let mut tx = client.begin().with_replicas(1);
+    let group = tx.bind(&counter).expect("activate from n4");
     assert_eq!(group.servers, vec![n(3)]);
-    assert_eq!(counter.invoke(action, CounterOp::Get).expect("read"), 42);
-    client.commit(action).expect("commit");
+    assert_eq!(tx.invoke(&counter, CounterOp::Get).expect("read"), 42);
+    tx.commit().expect("commit");
 }
 
 #[test]
@@ -130,8 +128,8 @@ fn sv_growth_is_refused_while_clients_use_the_object() {
     for scheme in [BindingScheme::Standard, BindingScheme::IndependentTopLevel] {
         let (sys, uid) = build(scheme);
         let user = sys.client(n(5));
-        let action = user.begin_action();
-        let _group = user.activate(action, uid, 2).expect("activate");
+        let mut tx = user.begin().with_replicas(2);
+        tx.bind(&user.open::<Counter>(uid)).expect("activate");
         let err = add_server(&sys, uid, n(3)).expect_err("must be refused in use");
         match scheme {
             BindingScheme::Standard => assert!(err.is_lock_refused(), "{scheme}: {err}"),
@@ -140,7 +138,7 @@ fn sv_growth_is_refused_while_clients_use_the_object() {
                 "{scheme}: {err}"
             ),
         }
-        user.commit(action).expect("commit");
+        tx.commit().expect("commit");
         if scheme.maintains_use_lists() {
             // Bindings completed — now quiescent.
             assert!(sys.naming().server_db.entry(uid).unwrap().is_quiescent());
@@ -156,28 +154,29 @@ fn shrinking_sv_by_remove_hides_a_server_from_new_bindings() {
     assert!(sys.naming().server_db.remove(action, uid, n(2)).unwrap());
     sys.tx().commit(action).unwrap();
     let client = sys.client(n(5));
-    let a = client.begin_action();
-    let group = client.activate(a, uid, 2).expect("activate");
+    let mut tx = client.begin().with_replicas(2);
+    let group = tx.bind(&client.open::<Counter>(uid)).expect("activate");
     assert_eq!(group.servers, vec![n(1)], "removed server not offered");
-    client.commit(a).expect("commit");
+    tx.commit().expect("commit");
 }
 
 #[test]
 fn cached_scheme_changes_degree_without_any_refusal() {
     let (sys, uid) = build(BindingScheme::CachedNameServer);
     let user = sys.client(n(5));
-    let action = user.begin_action();
-    let _group = user.activate(action, uid, 2).expect("activate");
+    let counter = user.open::<Counter>(uid);
+    let mut tx = user.begin().with_replicas(2);
+    tx.bind(&counter).expect("activate");
     // The §5 extension: membership updates cannot be refused, even mid-use.
     let cache = sys.server_cache().expect("cache").local();
     assert!(cache.record_server(uid, n(3)));
     assert_eq!(cache.read(uid), vec![n(1), n(2), n(3)]);
-    user.commit(action).expect("commit");
+    tx.commit().expect("commit");
     // New activations see the wider candidate set once passive again.
     assert!(sys.try_passivate(uid));
     sys.sim().crash(n(1));
-    let a = user.begin_action();
-    let group = user.activate(a, uid, 3).expect("bind via cache");
+    let mut tx = user.begin().with_replicas(3);
+    let group = tx.bind(&counter).expect("bind via cache");
     assert_eq!(group.servers, vec![n(2), n(3)], "new server offered");
-    user.abort(a);
+    tx.abort();
 }

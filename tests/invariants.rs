@@ -1,4 +1,4 @@
-//! Property tests for the paper's core invariants (DESIGN.md §6):
+//! Property tests for the paper's core invariants:
 //!
 //! * **I1** — every store listed in `St(A)` holds a byte-identical copy of
 //!   `A`'s latest committed state;
@@ -86,36 +86,28 @@ impl World {
                 let uid = self.objects[o];
                 let client = self.sys.client(self.client_node);
                 let counter = client.open::<Counter>(uid);
-                let action = client.begin_action();
-                let committed = (|| {
-                    counter.activate(action, 2).ok()?;
-                    counter.invoke(action, CounterOp::Add(1)).ok()?;
-                    client.commit(action).ok()
-                })();
-                match committed {
-                    Some(()) => self.model[o] += 1,
-                    None => client.abort(action),
+                let mut tx = client.begin().with_replicas(2);
+                match tx.invoke(&counter, CounterOp::Add(1)) {
+                    Ok(_) => self.model[o] += i64::from(tx.commit().is_ok()),
+                    Err(_) => tx.abort(),
                 }
             }
             Step::Read(o) => {
                 let uid = self.objects[o];
                 let client = self.sys.client(self.client_node);
                 let counter = client.open::<Counter>(uid);
-                let action = client.begin_action();
-                let observed = (|| {
-                    counter.activate_read_only(action, 1).ok()?;
-                    let value = counter.invoke(action, CounterOp::Get).ok()?;
-                    client.commit(action).ok()?;
-                    Some(value)
-                })();
-                if let Some(value) = observed {
-                    // I3: a successful read can never be stale.
-                    assert_eq!(
-                        value, self.model[o],
-                        "stale read through a valid binding (object {o})"
-                    );
-                } else {
-                    client.abort(action);
+                let mut tx = client.begin_read().with_replicas(1);
+                match tx.invoke(&counter, CounterOp::Get) {
+                    Ok(value) => {
+                        if tx.commit().is_ok() {
+                            // I3: a successful read can never be stale.
+                            assert_eq!(
+                                value, self.model[o],
+                                "stale read through a valid binding (object {o})"
+                            );
+                        }
+                    }
+                    Err(_) => tx.abort(),
                 }
             }
             Step::Crash(i) => self.sys.sim().crash(self.trio[i]),
@@ -222,14 +214,11 @@ impl World {
         for (o, &uid) in self.objects.iter().enumerate() {
             let client = self.sys.client(n(5));
             let counter = client.open::<Counter>(uid);
-            let action = client.begin_action();
-            counter
-                .activate_read_only(action, 1)
-                .expect("activate after full recovery");
-            let value = counter
-                .invoke(action, CounterOp::Get)
+            let mut tx = client.begin_read().with_replicas(1);
+            let value = tx
+                .invoke(&counter, CounterOp::Get)
                 .expect("read after full recovery");
-            client.commit(action).expect("commit");
+            tx.commit().expect("commit");
             assert_eq!(value, self.model[o], "object {o}");
         }
     }

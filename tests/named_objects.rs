@@ -28,32 +28,30 @@ fn create_named_lookup_invoke_roundtrip() {
         )
         .expect("create named");
 
-    let client = sys.client(n(4));
-    let action = client.begin_action();
-    let account = client
-        .open_by_name::<Account>(action, "accounts/alice", 2)
+    let mut tx = sys.client(n(4)).begin().with_replicas(2);
+    let account = tx
+        .bind_by_name::<Account>("accounts/alice")
         .expect("activate by name");
     assert_eq!(account.uid(), uid.uid());
-    let balance = account
-        .invoke(action, AccountOp::Withdraw(100))
+    let balance = tx
+        .invoke(&account, AccountOp::Withdraw(100))
         .expect("withdraw");
     assert_eq!(balance, 400);
-    client.commit(action).expect("commit");
+    tx.commit().expect("commit");
 }
 
 #[test]
 fn unknown_names_fail_cleanly() {
     let sys = build();
-    let client = sys.client(n(4));
-    let action = client.begin_action();
-    let err = client
-        .activate_by_name(action, "no/such/object", 1)
+    let mut tx = sys.client(n(4)).begin().with_replicas(1);
+    let err = tx
+        .bind_by_name::<Account>("no/such/object")
         .expect_err("unknown name");
     assert!(matches!(
         err,
         groupview::ActivateError::Db(DbError::NotFound(_))
     ));
-    client.abort(action);
+    tx.abort();
 }
 
 #[test]
@@ -81,33 +79,28 @@ fn names_survive_naming_node_crash_and_recovery() {
         .expect("create");
     // Write through the name.
     let client = sys.client(n(4));
-    let action = client.begin_action();
-    let session = client
-        .open_by_name::<KvMap>(action, "kv/session", 2)
-        .expect("activate");
-    session
-        .invoke(action, KvOp::Put("user".into(), "mcl".into()))
+    let mut tx = client.begin().with_replicas(2);
+    let session = tx.bind_by_name::<KvMap>("kv/session").expect("activate");
+    tx.invoke(&session, KvOp::Put("user".into(), "mcl".into()))
         .expect("put");
-    client.commit(action).expect("commit");
+    tx.commit().expect("commit");
 
     // The naming node crashes: lookups fail while it is down...
     sys.sim().crash(n(0));
-    let action = client.begin_action();
-    assert!(client.activate_by_name(action, "kv/session", 2).is_err());
-    client.abort(action);
+    let mut tx = client.begin().with_replicas(2);
+    assert!(tx.bind_by_name::<KvMap>("kv/session").is_err());
+    tx.abort();
 
     // ...and work again after recovery (directory state is in the service's
     // persistent object, which our simulation keeps with the service).
     sys.recovery().recover_node(n(0));
-    let action = client.begin_action();
-    let session = client
-        .open_by_name::<KvMap>(action, "kv/session", 2)
+    let mut tx = client.begin().with_replicas(2);
+    let session = tx
+        .bind_by_name::<KvMap>("kv/session")
         .expect("activate after recovery");
-    let value = session
-        .invoke(action, KvOp::Get("user".into()))
-        .expect("get");
+    let value = tx.invoke(&session, KvOp::Get("user".into())).expect("get");
     assert_eq!(value, KvReply::Value("mcl".into()));
-    client.commit(action).expect("commit");
+    tx.commit().expect("commit");
 }
 
 #[test]

@@ -28,20 +28,18 @@ fn build(seed: u64) -> (System, groupview::Uid) {
 fn client_partitioned_from_naming_service_cannot_bind() {
     let (sys, uid) = build(201);
     let client = sys.client(n(4));
+    let counter = client.open::<Counter>(uid);
     sys.sim().partition(n(4), n(0));
-    let action = client.begin_action();
-    let err = client
-        .activate(action, uid, 2)
-        .expect_err("naming unreachable");
+    let mut tx = client.begin().with_replicas(2);
+    let err = tx.bind(&counter).expect_err("naming unreachable");
     assert!(matches!(err, groupview::ActivateError::Bind(_)));
-    client.abort(action);
+    tx.abort();
     // Healing restores service.
     sys.sim().heal(n(4), n(0));
-    let counter = client.open::<Counter>(uid);
-    let action = client.begin_action();
-    counter.activate(action, 2).expect("bind after heal");
-    counter.invoke(action, CounterOp::Add(1)).expect("invoke");
-    client.commit(action).expect("commit");
+    let mut tx = client.begin().with_replicas(2);
+    tx.invoke(&counter, CounterOp::Add(1))
+        .expect("bind after heal");
+    tx.commit().expect("commit");
 }
 
 #[test]
@@ -51,15 +49,15 @@ fn client_partitioned_from_a_server_binds_elsewhere() {
     let counter = client.open::<Counter>(uid);
     // The client cannot reach n1, but n2/n3 still serve it.
     sys.sim().partition(n(4), n(1));
-    let action = client.begin_action();
-    let group = counter.activate(action, 2).expect("bind around partition");
+    let mut tx = client.begin().with_replicas(2);
+    let group = tx.bind(&counter).expect("bind around partition");
     assert!(
         !group.servers.contains(&n(1)),
         "partitioned server probed dead"
     );
     assert_eq!(group.servers.len(), 2);
-    counter.invoke(action, CounterOp::Add(5)).expect("invoke");
-    client.commit(action).expect("commit");
+    tx.invoke(&counter, CounterOp::Add(5)).expect("invoke");
+    tx.commit().expect("commit");
 }
 
 #[test]
@@ -67,12 +65,11 @@ fn store_partitioned_at_commit_gets_excluded_then_reincluded() {
     let (sys, uid) = build(203);
     let client = sys.client(n(4));
     let counter = client.open::<Counter>(uid);
-    let action = client.begin_action();
-    counter.activate(action, 2).expect("activate");
-    counter.invoke(action, CounterOp::Add(9)).expect("invoke");
+    let mut tx = client.begin().with_replicas(2);
+    tx.invoke(&counter, CounterOp::Add(9)).expect("invoke");
     // The commit coordinator (the client's node) loses contact with n3.
     sys.sim().partition(n(4), n(3));
-    client.commit(action).expect("commit without n3");
+    tx.commit().expect("commit without n3");
     let st = sys.naming().state_db.entry(uid).expect("entry");
     assert_eq!(
         st.stores,
@@ -102,25 +99,20 @@ fn partition_between_groups_blocks_cross_traffic_only() {
     sys.sim()
         .partition_groups(&[n(0), n(1), n(2), n(3)], &[n(4)]);
     let cut_off = sys.client(n(4));
-    let action = cut_off.begin_action();
-    assert!(cut_off.activate(action, uid, 2).is_err());
-    cut_off.abort(action);
+    let counter = cut_off.open::<Counter>(uid);
+    let mut tx = cut_off.begin().with_replicas(2);
+    assert!(tx.bind(&counter).is_err());
+    tx.abort();
 
-    let fine = sys.client(n(5));
-    let fine_counter = fine.open::<Counter>(uid);
-    let action = fine.begin_action();
-    fine_counter.activate(action, 2).expect("unaffected side");
-    fine_counter
-        .invoke(action, CounterOp::Add(2))
-        .expect("invoke");
-    fine.commit(action).expect("commit");
+    let mut tx = sys.client(n(5)).begin().with_replicas(2);
+    tx.invoke(&counter, CounterOp::Add(2))
+        .expect("unaffected side");
+    tx.commit().expect("commit");
 
     sys.sim().heal_all();
-    let counter = cut_off.open::<Counter>(uid);
-    let action = cut_off.begin_action();
-    counter.activate(action, 2).expect("after heal");
-    assert_eq!(counter.invoke(action, CounterOp::Get).expect("read"), 2);
-    cut_off.commit(action).expect("commit");
+    let mut tx = cut_off.begin().with_replicas(2);
+    assert_eq!(tx.invoke(&counter, CounterOp::Get).expect("after heal"), 2);
+    tx.commit().expect("commit");
 }
 
 #[test]
@@ -133,15 +125,10 @@ fn no_stale_reads_across_partition_heal_cycles() {
         sys.sim().partition(n(4), victim);
         let client = sys.client(n(4));
         let counter = client.open::<Counter>(uid);
-        let action = client.begin_action();
-        let committed = (|| {
-            counter.activate(action, 2).ok()?;
-            counter.invoke(action, CounterOp::Add(1)).ok()?;
-            client.commit(action).ok()
-        })();
-        match committed {
-            Some(()) => expected += 1,
-            None => client.abort(action),
+        let mut tx = client.begin().with_replicas(2);
+        match tx.invoke(&counter, CounterOp::Add(1)) {
+            Ok(_) => expected += i64::from(tx.commit().is_ok()),
+            Err(_) => tx.abort(),
         }
         sys.sim().heal_all();
         // Heal-time recovery for whatever got excluded.
@@ -180,22 +167,21 @@ fn cohort_partitioned_from_coordinator_is_expelled_not_stale() {
     let client = sys.client(n(4));
     let counter = client.open::<Counter>(uid);
     // Action 1 activates all three; coordinator is n1.
-    let action = client.begin_action();
-    let group = counter.activate(action, 3).expect("activate");
+    let mut tx = client.begin().with_replicas(3);
+    let group = tx.bind(&counter).expect("activate");
     assert_eq!(group.servers, vec![n(1), n(2), n(3)]);
     // n3 gets partitioned from the coordinator: it misses the checkpoint.
     sys.sim().partition(n(1), n(3));
-    counter.invoke(action, CounterOp::Add(5)).expect("invoke");
-    client.commit(action).expect("commit");
+    tx.invoke(&counter, CounterOp::Add(5)).expect("invoke");
+    tx.commit().expect("commit");
     // n3 was expelled from the activation (unloaded); a new action joins
     // only the fresh members and never sees stale state through n3.
     sys.sim().heal_all();
-    let action = client.begin_action();
-    counter.activate(action, 3).expect("activate again");
+    let mut tx = client.begin().with_replicas(3);
     assert_eq!(
-        counter.invoke(action, CounterOp::Get).expect("read"),
+        tx.invoke(&counter, CounterOp::Get).expect("activate again"),
         5,
         "no stale cohort"
     );
-    client.commit(action).expect("commit");
+    tx.commit().expect("commit");
 }

@@ -24,10 +24,6 @@ fn build(scheme: BindingScheme, policy: ReplicationPolicy) -> (System, Uid) {
     (sys, uid)
 }
 
-/// Why a workload round failed: `true` means failure-caused per the error
-/// taxonomy (`ActivateError`/`InvokeError`/`CommitError::is_failure_caused`).
-struct RoundError(bool);
-
 /// Runs the same deterministic sequence of actions (with a crash and a
 /// recovery in the middle) and returns the final committed value.
 ///
@@ -45,39 +41,31 @@ fn run_workload(sys: &System, uid: Uid) -> i64 {
         if round == 8 {
             sys.recovery().recover_node(n(2));
         }
-        let action = client.begin_action();
-        let worked = (|| -> Result<(), RoundError> {
-            counter
-                .activate(action, 2)
-                .map_err(|e| RoundError(e.is_failure_caused()))?;
-            counter
-                .invoke(action, CounterOp::Add(round))
-                .map_err(|e| RoundError(e.is_failure_caused()))?;
-            client
-                .commit(action)
-                .map_err(|e| RoundError(e.is_failure_caused()))
-        })();
+        // `Err(true)` means failure-caused per the error taxonomy
+        // (`TxOpError`/`CommitError::is_failure_caused`).
+        let mut tx = client.begin().with_replicas(2);
+        let worked = match tx.invoke(&counter, CounterOp::Add(round)) {
+            Ok(_) => tx.commit().map_err(|e| e.is_failure_caused()),
+            Err(e) => {
+                tx.abort();
+                Err(e.is_failure_caused())
+            }
+        };
         match worked {
             Ok(()) => expected += round,
-            Err(RoundError(failure_caused)) => {
-                assert!(
-                    failure_caused,
-                    "round {round}: a single-client abort must be failure-caused, \
-                     not contention"
-                );
-                client.abort(action);
-            }
+            Err(failure_caused) => assert!(
+                failure_caused,
+                "round {round}: a single-client abort must be failure-caused, \
+                 not contention"
+            ),
         }
     }
     // Read back through a fresh client on another node.
     let reader = sys.client(n(6));
     let counter = reader.open::<Counter>(uid);
-    let action = reader.begin_action();
-    counter
-        .activate_read_only(action, 1)
-        .expect("read activate");
-    let value = counter.invoke(action, CounterOp::Get).expect("read");
-    reader.commit(action).expect("read commit");
+    let mut tx = reader.begin_read().with_replicas(1);
+    let value = tx.invoke(&counter, CounterOp::Get).expect("read");
+    tx.commit().expect("read commit");
     assert_eq!(value, expected, "committed value must match the model");
     value
 }

@@ -20,19 +20,17 @@ fn quickstart_runs_end_to_end() -> Result<(), Box<dyn std::error::Error>> {
     let uid = sys.create_typed(Counter::new(0), &nodes[1..4], &nodes[1..4])?;
 
     // A client runs an atomic action against two active replicas, through
-    // the typed handle surface.
+    // a typed transaction.
     let client = sys.client(nodes[4]);
     let counter = uid.open(&client);
-    let action = client.begin_action();
-    counter.activate(action, 2)?;
-    assert_eq!(counter.invoke(action, CounterOp::Add(10))?, 10);
-    client.commit(action)?;
+    let mut tx = client.begin().with_replicas(2);
+    assert_eq!(tx.invoke(&counter, CounterOp::Add(10))?, 10);
+    tx.commit()?;
 
     // A crash of one replica is masked; the state is safe on every store.
     sys.sim().crash(nodes[1]);
-    let action = client.begin_action();
-    counter.activate(action, 2)?;
-    assert_eq!(counter.invoke(action, CounterOp::Get)?, 10);
-    client.commit(action)?;
+    let mut tx = client.begin_read().with_replicas(2);
+    assert_eq!(tx.invoke(&counter, CounterOp::Get)?, 10);
+    tx.commit()?;
     Ok(())
 }
