@@ -25,8 +25,16 @@
 //! activations (no per-client or per-handle copies of each bound group,
 //! no system-wide dirty set), a transfer measures active 97.0,
 //! coordinator-cohort 75.0, single-copy 68.0 allocs per transaction (was
-//! 122.1/100.1/93.1); the budgets keep the same headroom ratio over the
-//! new figures: 104/81/74 (were 130/108/100).
+//! 122.1/100.1/93.1); the budgets kept the same headroom ratio over those
+//! figures: 104/81/74 (were 130/108/100). Joining a warm activation then
+//! stopped copying the activation set (no handle-clone `Vec`, no clone
+//! into the bind request, none inside the binder): 91.0/69.0/62.0 allocs
+//! per transaction, budgets 98/75/68 at the same headroom ratio.
+//!
+//! The warm-join scaling guard times a first-touch invoke on an
+//! already-active account with 10² and with 10⁴ resident accounts and
+//! asserts the cost does not grow with the resident count (≤ 3×, equal
+//! allocations), so activation lookups stay per-object.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use groupview_replication::{
@@ -36,6 +44,7 @@ use groupview_sim::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 struct CountingAllocator;
 
@@ -247,9 +256,127 @@ fn report_tx_policy(policy: ReplicationPolicy, budget: f64) {
 /// The transaction scoreboard: one whole two-object transfer per unit —
 /// begin, two auto-activating invokes, commit (one 2PC over both objects).
 fn bench_tx_heap_allocs(_c: &mut Criterion) {
-    report_tx_policy(ReplicationPolicy::Active, 104.0);
-    report_tx_policy(ReplicationPolicy::CoordinatorCohort, 81.0);
-    report_tx_policy(ReplicationPolicy::SingleCopyPassive, 74.0);
+    report_tx_policy(ReplicationPolicy::Active, 98.0);
+    report_tx_policy(ReplicationPolicy::CoordinatorCohort, 75.0);
+    report_tx_policy(ReplicationPolicy::SingleCopyPassive, 68.0);
+}
+
+/// Builds a 5-node active-replication world with `resident` accounts,
+/// three staggered replicas each, and activates every one of them once so
+/// they all stay resident (warm) for the measurement.
+fn resident_world(resident: usize) -> (System, Client, Vec<Handle<Account>>) {
+    let sys = System::builder(13)
+        .nodes(5)
+        .policy(ReplicationPolicy::Active)
+        .build();
+    let nodes = sys.sim().nodes();
+    let accounts: Vec<Handle<Account>> = (0..resident)
+        .map(|i| {
+            let replicas: Vec<NodeId> = (0..3).map(|j| nodes[(i + j) % nodes.len()]).collect();
+            sys.create_typed(Account::new(0), &replicas, &replicas)
+                .expect("create")
+        })
+        .collect();
+    let client = sys.client(nodes[0]);
+    for h in &accounts {
+        let mut tx = client.begin().with_replicas(3);
+        tx.invoke(h, AccountOp::Balance).expect("activate");
+        tx.commit().expect("commit");
+    }
+    (sys, client, accounts)
+}
+
+/// One block of `joins` warm joins: each begins a transaction whose first
+/// touch joins an already-active account's activation, then commits.
+/// Only the joining invoke is timed and allocation-counted. `next` walks
+/// `accounts` round-robin across blocks. Returns `(ns per join, allocs
+/// per join)`.
+fn warm_join_block(
+    client: &Client,
+    accounts: &[Handle<Account>],
+    next: &mut usize,
+    joins: usize,
+) -> (f64, f64) {
+    let (mut ns, mut counted) = (0u128, 0u64);
+    for _ in 0..joins {
+        let h = &accounts[*next % accounts.len()];
+        *next += 1;
+        let mut tx = client.begin();
+        let (start, before) = (Instant::now(), allocs());
+        black_box(tx.invoke(h, AccountOp::Balance).expect("warm join"));
+        counted += allocs() - before;
+        ns += start.elapsed().as_nanos();
+        tx.commit().expect("commit");
+    }
+    (ns as f64 / joins as f64, counted as f64 / joins as f64)
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// The warm-join scaling guard. Joining an active object binds to its
+/// existing activation set (§3.2), so its cost must follow the world's
+/// node count, not the number of other resident objects. Times a warm
+/// join with 10² and with 10⁴ resident accounts (5 nodes, 3 replicas
+/// each) as the median of 5 alternating blocks per size, and asserts the
+/// large/small ratio stays ≤ 3× (wide, so that machine speed swings
+/// between blocks cannot fail it) and that a join allocates exactly as
+/// much at both sizes. Both worlds join
+/// the same first 10² accounts in the same order, each warmed by 10
+/// untimed joins first: until a replica's dedup ring is full, every reply
+/// takes a fresh buffer instead of a recycled one, so an object's first
+/// joins allocate more than later ones. Allocations are compared as the
+/// minimum over blocks, because world-wide tables that double as actions
+/// accumulate add a sporadic allocation whose timing depends on the
+/// world's history. A registry lookup that scans every resident replica
+/// fails the ratio by an order of magnitude.
+fn bench_warm_join_scaling(_c: &mut Criterion) {
+    const SMALL: usize = 100;
+    const LARGE: usize = 10_000;
+    const BLOCKS: usize = 5;
+    const JOINS: usize = 200;
+    const MAX_RATIO: f64 = 3.0;
+    let (_small_sys, small_client, small) = resident_world(SMALL);
+    let (_large_sys, large_client, large) = resident_world(LARGE);
+    let large = &large[..SMALL];
+    let (mut small_next, mut large_next) = (0, 0);
+    warm_join_block(&small_client, &small, &mut small_next, 10 * SMALL);
+    warm_join_block(&large_client, large, &mut large_next, 10 * SMALL);
+    let (mut small_ns, mut large_ns) = (Vec::new(), Vec::new());
+    let (mut small_allocs, mut large_allocs) = (Vec::new(), Vec::new());
+    for _ in 0..BLOCKS {
+        let (ns, a) = warm_join_block(&small_client, &small, &mut small_next, JOINS);
+        small_ns.push(ns);
+        small_allocs.push(a);
+        let (ns, a) = warm_join_block(&large_client, large, &mut large_next, JOINS);
+        large_ns.push(ns);
+        large_allocs.push(a);
+    }
+    let (small_ns, large_ns) = (median(small_ns), median(large_ns));
+    let ratio = large_ns / small_ns;
+    let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    let (small_min, large_min) = (min(&small_allocs), min(&large_allocs));
+    println!(
+        "objects/warm_join/{SMALL}_resident {small_ns:>20.0} ns/join {small_min:>8.3} allocs/join"
+    );
+    println!(
+        "objects/warm_join/{LARGE}_resident {large_ns:>18.0} ns/join {large_min:>8.3} allocs/join"
+    );
+    println!("objects/warm_join/ratio {ratio:>25.2}x (bound {MAX_RATIO}x)");
+    if std::env::var_os("OBJECTS_BENCH_NO_ASSERT").is_none() {
+        assert!(
+            ratio <= MAX_RATIO,
+            "a warm join with {LARGE} resident accounts costs {ratio:.2}x one with {SMALL} \
+             ({large_ns:.0} vs {small_ns:.0} ns): activation lookup grows with resident objects"
+        );
+        assert_eq!(
+            small_min, large_min,
+            "allocations per warm join differ with the resident count \
+             (per block: {SMALL} resident {small_allocs:?}, {LARGE} resident {large_allocs:?})"
+        );
+    }
 }
 
 /// Read path for contrast (no undo snapshot, no dirty marking).
@@ -271,6 +398,7 @@ criterion_group!(
     benches,
     bench_invoke_heap_allocs,
     bench_tx_heap_allocs,
+    bench_warm_join_scaling,
     bench_read_heap_allocs
 );
 criterion_main!(benches);

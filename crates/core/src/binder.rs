@@ -295,15 +295,19 @@ impl Binder {
             .cache
             .as_ref()
             .expect("CachedNameServer scheme requires Binder::with_cache");
+        let looked_up;
         let candidates = match &req.required {
-            Some(required) => required.clone(),
-            None => cache
-                .read_from(req.client_node, req.uid)
-                .ok_or(BindError::Db(crate::error::DbError::Net(
-                    groupview_sim::NetError::Timeout,
-                )))?,
+            Some(required) => required,
+            None => {
+                looked_up = cache
+                    .read_from(req.client_node, req.uid)
+                    .ok_or(BindError::Db(crate::error::DbError::Net(
+                        groupview_sim::NetError::Timeout,
+                    )))?;
+                &looked_up
+            }
         };
-        let (servers, dead) = self.probe_candidates(req, &candidates);
+        let (servers, dead) = self.probe_candidates(req, candidates);
         for &host in &dead {
             cache.report_failure_from(req.client_node, req.uid, host);
         }
@@ -342,17 +346,18 @@ impl Binder {
         // Otherwise: fixed selection algorithm; read-only clients start at a
         // client-dependent offset so concurrent readers spread across
         // (possibly disjoint) servers — the §4.1.2 optimisation.
+        let mut rotated;
         let candidates = if let Some(required) = &req.required {
-            required.clone()
+            required
         } else if req.read_only && !entry.servers.is_empty() {
             let start = req.client.raw() as usize % entry.servers.len();
-            let mut v = entry.servers[start..].to_vec();
-            v.extend_from_slice(&entry.servers[..start]);
-            v
+            rotated = entry.servers[start..].to_vec();
+            rotated.extend_from_slice(&entry.servers[..start]);
+            &rotated
         } else {
-            entry.servers.clone()
+            &entry.servers
         };
-        let (servers, dead) = self.probe_candidates(req, &candidates);
+        let (servers, dead) = self.probe_candidates(req, candidates);
         if servers.is_empty() {
             return Err(BindError::NoServers {
                 probed: dead.len() as u32,
@@ -414,17 +419,18 @@ impl Binder {
         // An already-activated object pins the selection to SvA' (§3.2);
         // otherwise "if the use list returned is non-empty, then the client
         // tries to bind to only those servers with non-zero counters."
+        let active;
         let candidates = if let Some(required) = &req.required {
-            required.clone()
+            required
         } else {
-            let active = entry.active_servers();
+            active = entry.active_servers();
             if active.is_empty() {
-                entry.servers.clone()
+                &entry.servers
             } else {
-                active
+                &active
             }
         };
-        let (servers, dead) = self.probe_candidates(req, &candidates);
+        let (servers, dead) = self.probe_candidates(req, candidates);
         if servers.is_empty() {
             self.tx.abort(t1);
             return Err(BindError::NoServers {

@@ -38,15 +38,13 @@ impl System {
     /// replicas. Empty for passive objects.
     pub(crate) fn activation_set(&self, uid: Uid) -> Vec<NodeId> {
         let inner = &self.inner;
-        inner
-            .registry
-            .replicas_of(uid)
-            .into_iter()
-            .filter(|(node, handle)| {
-                inner.sim.is_up(*node) && handle.borrow_mut().is_loaded(&inner.sim)
-            })
-            .map(|(node, _)| node)
-            .collect()
+        let mut set = Vec::new();
+        inner.registry.for_each_of(uid, |node, handle| {
+            if inner.sim.is_up(node) && handle.borrow_mut().is_loaded(&inner.sim) {
+                set.push(node);
+            }
+        });
+        set
     }
 
     /// Activates `uid` for a client action; see the module docs. Trace
@@ -88,7 +86,7 @@ impl System {
         let joined = self.activation_set(uid);
         let fresh = joined.is_empty();
         if !fresh {
-            req = req.with_required(joined.clone());
+            req = req.with_required(joined);
         }
         let bind_start = inner.sim.now().as_micros();
         let binding = inner.binder.bind(action, &req)?;
@@ -104,7 +102,7 @@ impl System {
         // expel it — unload its replica so it can never re-enter the
         // activation set with stale state. Its next activation reloads the
         // committed state from the object stores.
-        for &node in &joined {
+        for &node in req.required.iter().flatten() {
             if !binding.servers.contains(&node) {
                 if let Some(handle) = inner.registry.get(uid, node) {
                     handle.borrow_mut().unload(&inner.sim);

@@ -313,15 +313,32 @@ impl ServerReplica {
 pub type ReplicaHandle = Rc<RefCell<ServerReplica>>;
 
 /// Registry of all activated replicas, keyed by `(object, node)`.
+///
+/// Lookups of one object's replicas ([`ReplicaRegistry::replicas_of`],
+/// [`ReplicaRegistry::remove_object`]) probe `(uid, n)` for every node
+/// index `n` below one past the highest index ever registered, so they
+/// cost one hash probe per world node, however many other objects are
+/// resident. This relies on node indices being **dense**: `Sim` hands out
+/// `0..num_nodes` (and `Sim::add_node` the next one), so the probe range
+/// is the world's node count. A sparse id (say `NodeId::new(1_000)` in a
+/// three-node world) stays correct but widens every probe to that index.
 #[derive(Clone, Default)]
 pub struct ReplicaRegistry {
-    inner: Rc<RefCell<HashMap<(Uid, NodeId), ReplicaHandle>>>,
+    inner: Rc<RefCell<Slots>>,
+}
+
+/// The registry's shared state.
+#[derive(Default)]
+struct Slots {
+    replicas: HashMap<(Uid, NodeId), ReplicaHandle>,
+    /// One past the highest node index ever registered: the probe bound.
+    nodes: u32,
 }
 
 impl fmt::Debug for ReplicaRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplicaRegistry")
-            .field("replicas", &self.inner.borrow().len())
+            .field("replicas", &self.inner.borrow().replicas.len())
             .finish()
     }
 }
@@ -334,8 +351,10 @@ impl ReplicaRegistry {
 
     /// The replica of `uid` at `node`, creating an unloaded one if absent.
     pub fn get_or_create(&self, sim: &Sim, uid: Uid, node: NodeId) -> ReplicaHandle {
-        self.inner
-            .borrow_mut()
+        let mut slots = self.inner.borrow_mut();
+        slots.nodes = slots.nodes.max(node.raw() + 1);
+        slots
+            .replicas
             .entry((uid, node))
             .or_insert_with(|| Rc::new(RefCell::new(ServerReplica::new(sim, uid, node))))
             .clone()
@@ -343,19 +362,25 @@ impl ReplicaRegistry {
 
     /// The replica of `uid` at `node`, if one was ever activated.
     pub fn get(&self, uid: Uid, node: NodeId) -> Option<ReplicaHandle> {
-        self.inner.borrow().get(&(uid, node)).cloned()
+        self.inner.borrow().replicas.get(&(uid, node)).cloned()
+    }
+
+    /// Calls `f` on every replica of `uid` in node order, without cloning
+    /// handles. `f` must not call back into the registry (it runs under
+    /// the registry's borrow).
+    pub(crate) fn for_each_of(&self, uid: Uid, mut f: impl FnMut(NodeId, &ReplicaHandle)) {
+        let slots = self.inner.borrow();
+        for node in (0..slots.nodes).map(NodeId::new) {
+            if let Some(handle) = slots.replicas.get(&(uid, node)) {
+                f(node, handle);
+            }
+        }
     }
 
     /// All replicas of `uid`, sorted by node.
     pub fn replicas_of(&self, uid: Uid) -> Vec<(NodeId, ReplicaHandle)> {
-        let mut v: Vec<(NodeId, ReplicaHandle)> = self
-            .inner
-            .borrow()
-            .iter()
-            .filter(|((u, _), _)| *u == uid)
-            .map(|(&(_, n), h)| (n, h.clone()))
-            .collect();
-        v.sort_by_key(|(n, _)| *n);
+        let mut v = Vec::new();
+        self.for_each_of(uid, |node, handle| v.push((node, handle.clone())));
         v
     }
 
@@ -363,15 +388,20 @@ impl ReplicaRegistry {
     /// uses this after a move commits: the expelled incarnation must not
     /// linger as an activation target on the old host.
     pub fn remove_at(&self, uid: Uid, node: NodeId) -> bool {
-        self.inner.borrow_mut().remove(&(uid, node)).is_some()
+        self.inner
+            .borrow_mut()
+            .replicas
+            .remove(&(uid, node))
+            .is_some()
     }
 
     /// Drops every replica of `uid` (passivation).
     pub fn remove_object(&self, uid: Uid) -> usize {
-        let mut inner = self.inner.borrow_mut();
-        let before = inner.len();
-        inner.retain(|&(u, _), _| u != uid);
-        before - inner.len()
+        let mut slots = self.inner.borrow_mut();
+        let Slots { replicas, nodes } = &mut *slots;
+        (0..*nodes)
+            .filter(|&n| replicas.remove(&(uid, NodeId::new(n))).is_some())
+            .count()
     }
 }
 
@@ -588,6 +618,93 @@ mod tests {
         assert_eq!(reg.remove_object(uid), 2);
         assert!(reg.replicas_of(uid).is_empty());
         assert!(reg.get(Uid::from_raw(2), NodeId::new(1)).is_some());
+    }
+
+    /// Drives a seeded random mix of every registry call against a sorted
+    /// map of `(uid, node) → handle`: `replicas_of` must list exactly the
+    /// model's range for the uid in node order, `remove_at` and
+    /// `remove_object` must report what the model drops, and a surviving
+    /// handle must stay the same `Rc`. Halfway through, the world grows a
+    /// node (as `Sim::add_node` does), so one node index is first
+    /// registered after other objects already have replicas.
+    #[test]
+    fn registry_matches_sorted_map_model() {
+        use std::collections::BTreeMap;
+        const UIDS: u64 = 4;
+        const STEPS: usize = 600;
+        for seed in 1..=8 {
+            let sim = Sim::new(SimConfig::new(seed).with_nodes(3));
+            let reg = ReplicaRegistry::new();
+            let mut model: BTreeMap<(Uid, NodeId), ReplicaHandle> = BTreeMap::new();
+            let model_of = |model: &BTreeMap<(Uid, NodeId), ReplicaHandle>, uid: Uid| {
+                model
+                    .range((uid, NodeId::new(0))..=(uid, NodeId::new(u32::MAX)))
+                    .map(|(&(_, n), h)| (n, h.clone()))
+                    .collect::<Vec<_>>()
+            };
+            let same = |a: &[(NodeId, ReplicaHandle)], b: &[(NodeId, ReplicaHandle)]| {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|((na, ha), (nb, hb))| na == nb && Rc::ptr_eq(ha, hb))
+            };
+            for step in 0..STEPS {
+                if step == STEPS / 2 {
+                    sim.add_node();
+                }
+                let uid = Uid::from_raw(1 + sim.random_below(UIDS));
+                let node = NodeId::new(sim.random_below(sim.num_nodes() as u64) as u32);
+                match sim.random_below(10) {
+                    0..=3 => {
+                        let h = reg.get_or_create(&sim, uid, node);
+                        assert_eq!((h.borrow().uid(), h.borrow().node()), (uid, node));
+                        let kept = model.entry((uid, node)).or_insert_with(|| h.clone());
+                        assert!(
+                            Rc::ptr_eq(&h, kept),
+                            "seed {seed} step {step}: handle replaced"
+                        );
+                    }
+                    4 => {
+                        let got = reg.get(uid, node);
+                        let want = model.get(&(uid, node));
+                        assert!(
+                            match (&got, want) {
+                                (Some(g), Some(w)) => Rc::ptr_eq(g, w),
+                                (None, None) => true,
+                                _ => false,
+                            },
+                            "seed {seed} step {step}: get({uid:?}, {node})"
+                        );
+                    }
+                    5 => assert_eq!(
+                        reg.remove_at(uid, node),
+                        model.remove(&(uid, node)).is_some(),
+                        "seed {seed} step {step}: remove_at({uid:?}, {node})"
+                    ),
+                    6 => {
+                        let dropped = model_of(&model, uid).len();
+                        model.retain(|&(u, _), _| u != uid);
+                        assert_eq!(
+                            reg.remove_object(uid),
+                            dropped,
+                            "seed {seed} step {step}: remove_object({uid:?})"
+                        );
+                    }
+                    _ => assert!(
+                        same(&reg.replicas_of(uid), &model_of(&model, uid)),
+                        "seed {seed} step {step}: replicas_of({uid:?})"
+                    ),
+                }
+            }
+            for uid in (1..=UIDS).map(Uid::from_raw) {
+                assert!(same(&reg.replicas_of(uid), &model_of(&model, uid)));
+            }
+            let late = NodeId::new(3);
+            assert!(
+                model.keys().any(|&(_, n)| n == late),
+                "seed {seed}: the late node never hosted a surviving replica"
+            );
+        }
     }
 
     #[test]
